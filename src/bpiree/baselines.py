@@ -31,7 +31,6 @@ from .solver import (
     SolverConfig,
     Trace,
     TraceRecord,
-    _block_plans,
     _penalty_g,
 )
 
@@ -166,7 +165,7 @@ def _sweep_loop(problem, config, x0, callback, parallel):
     eps = _frozen_eps(problem, config)
     loss = problem.loss
     partition = problem.partition
-    plans = _block_plans(problem)
+    plans = problem.block_plans
     alphas = [1.0 / plan.lipschitz for plan in plans]
     g, g_subgrad = _penalty_g(problem.penalty)
     trace = Trace()

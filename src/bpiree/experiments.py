@@ -21,7 +21,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -257,10 +257,6 @@ _BPIREE_HARNESS_DEFAULTS = dict(momentum="fista", record_trace=True)
 _BASELINE_HARNESS_DEFAULTS = dict(record_trace=True)
 
 
-def _dispatch(algo: str) -> Callable:
-    return ALGORITHMS[algo]
-
-
 ALGORITHMS = {
     "bpiree": solve,
     "bpiree-lp": solve_lp,
@@ -285,7 +281,7 @@ def make_solver_config(spec: ExperimentSpec, entry: SolverEntry) -> SolverConfig
 
 def run_algorithm(algo: str, problem: Problem, config: SolverConfig, x0, callback=None):
     """Uniform runner: returns ``(x, trace, status)`` for any algorithm name."""
-    result = _dispatch(algo)(problem, config, x0, callback=callback)
+    result = ALGORITHMS[algo](problem, config, x0, callback=callback)
     if algo == "bpiree-lp":
         x, _eps, trace, status = result
         return x, trace, status
@@ -373,31 +369,54 @@ class ComparisonReport:
 def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
     """Run every configured solver on one shared instance from ``x0 = 0``.
 
-    The first block-solver entry (or the first entry) is the reference;
-    curves are computed by a deterministic second pass of each solver, so
-    reported wall times cover only the first pass.  A solver failure is
-    recorded in its row and does not abort the report.
+    The first block-solver entry (or the first entry) is the reference and
+    runs first.  Every other solver then runs once, tracking its distance
+    to the reference output on the way; only the reference runs a second
+    time, for its own curve.  Reported wall times are those of a row's
+    single run, so they include the curve tracking, except for the
+    reference, whose time covers its first run only.  A solver failure is
+    recorded in its row, with empty curves, and does not abort the report.
     """
     problem, x_true = build_problem(spec)
     x0 = np.zeros(problem.loss.dim)
     entries = spec.solvers
+    ref = next((e for e in entries if e.algo.startswith("bpiree")), entries[0])
 
-    ref_pos = next(
-        (i for i, e in enumerate(entries) if e.algo.startswith("bpiree")), 0
-    )
-
-    outputs = {}
-    results = []
-    for entry in entries:
+    def run(entry, callback=None):
         config = make_solver_config(spec, entry)
         t0 = time.perf_counter()
         try:
-            x, trace, status = run_algorithm(entry.algo, problem, config, x0)
+            x, trace, status = run_algorithm(entry.algo, problem, config, x0, callback=callback)
         except Exception as exc:  # recorded per solver, never fatal
             logger.warning("solver %s failed: %s", entry.label, exc)
             x, trace, status = None, None, SolveStatus.NUMERICAL_FAILURE
-        wall = time.perf_counter() - t0
-        outputs[entry.label] = (x, trace)
+        return x, trace, status, time.perf_counter() - t0
+
+    ref_run = run(ref)
+    x_ref, ref_trace = ref_run[:2]
+    if x_ref is None:
+        raise RuntimeError(f"reference solver {ref.label} produced no iterate")
+    F_ref = ref_trace.records[-1].F if ref_trace.records else math.nan
+    ref_norm = float(np.linalg.norm(x_ref))
+
+    results, curves = [], {}
+    for entry in entries:
+        x_rel: List[float] = []
+
+        def track(k, xk):
+            dist = float(np.linalg.norm(xk - x_ref))
+            x_rel.append(dist / ref_norm if ref_norm != 0.0 else math.inf)
+
+        if entry is ref:
+            run(entry, callback=track)
+            x, trace, status, wall = ref_run
+        else:
+            x, trace, status, wall = run(entry, callback=track)
+        if x is None:
+            curves[entry.label] = {"f_gap": [], "x_rel": []}
+        else:
+            f_gap = [abs(rec.F - F_ref) for rec in trace.records]
+            curves[entry.label] = {"f_gap": f_gap, "x_rel": x_rel}
         results.append(
             SolverResult(
                 label=entry.label,
@@ -410,43 +429,14 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
                     else math.nan
                 ),
                 rel_err_true=rel_err(x, x_true) if x is not None else math.inf,
-                rel_err_ref=math.nan,
+                rel_err_ref=rel_err(x, x_ref) if x is not None else math.nan,
                 wall_time_s=wall,
             )
         )
 
-    ref_label = entries[ref_pos].label
-    x_ref, ref_trace = outputs[ref_label]
-    if x_ref is None:
-        raise RuntimeError(f"reference solver {ref_label} produced no iterate")
-    F_ref = (
-        ref_trace.records[-1].F if ref_trace is not None and ref_trace.records else math.nan
-    )
-    ref_norm = float(np.linalg.norm(x_ref))
-
-    curves = {}
-    for entry, result in zip(entries, results):
-        x, trace = outputs[entry.label]
-        if x is None:
-            curves[entry.label] = {"f_gap": [], "x_rel": []}
-            continue
-        result.rel_err_ref = rel_err(x, x_ref)
-        x_rel: List[float] = []
-
-        def track(k, xk):
-            if ref_norm == 0.0:
-                x_rel.append(math.inf)
-            else:
-                x_rel.append(float(np.linalg.norm(xk - x_ref)) / ref_norm)
-
-        config = make_solver_config(spec, entry)
-        run_algorithm(entry.algo, problem, config, x0, callback=track)
-        f_gap = [abs(rec.F - F_ref) for rec in trace.records]
-        curves[entry.label] = {"f_gap": f_gap, "x_rel": x_rel}
-
     return ComparisonReport(
         spec=spec.to_dict(),
-        reference=ref_label,
+        reference=ref.label,
         results=results,
         curves=curves,
     )

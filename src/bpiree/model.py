@@ -14,6 +14,7 @@ time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -168,12 +169,22 @@ def spectral_norm_sq(M: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> f
 # ---------------------------------------------------------------------------
 
 
+def _columns(A: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """C-contiguous ``A[:, cols]``.  A run of columns is taken as a basic
+    slice, not copied when contiguous already (all of a C-ordered ``A``);
+    other blocks are copied, since a strided view is slower per matvec."""
+    start = int(cols[0])
+    if np.array_equal(cols, np.arange(start, start + cols.size)):
+        return np.ascontiguousarray(A[:, start : start + cols.size])
+    return np.ascontiguousarray(A[:, cols])
+
+
 class _VectorBlockPlan:
     """Cached column submatrix for fast block updates of a least-squares loss."""
 
-    def __init__(self, A_sub: np.ndarray):
+    def __init__(self, A_sub: np.ndarray, norm_sq):
         self.A_sub = A_sub
-        self._lipschitz = None
+        self._norm_sq = norm_sq  # the loss's operator_norm_sq
 
     def grad_from_residual(self, r):
         return self.A_sub.T @ r
@@ -181,15 +192,31 @@ class _VectorBlockPlan:
     def residual_after_delta(self, r, delta):
         return r + self.A_sub @ delta
 
-    @property
+    @functools.cached_property
     def lipschitz(self) -> float:
-        if self._lipschitz is None:
-            est = spectral_norm_sq(self.A_sub) * LIPSCHITZ_SAFETY
-            self._lipschitz = max(est, LIPSCHITZ_FLOOR)
-        return self._lipschitz
+        return max(self._norm_sq(self.A_sub) * LIPSCHITZ_SAFETY, LIPSCHITZ_FLOOR)
 
 
-class LeastSquares:
+class _LinearLoss:
+    """What both least-squares losses share about their operator ``A``."""
+
+    @functools.cached_property
+    def A_norm_sq(self) -> float:
+        """``spectral_norm_sq(A)``, estimated once per loss."""
+        return spectral_norm_sq(self.A)
+
+    def operator_norm_sq(self, M: np.ndarray) -> float:
+        """``spectral_norm_sq(M)`` for a block operator taken from ``A``;
+        ``A`` itself, or a view of all of it, reuses :attr:`A_norm_sq`."""
+        if M.shape == self.A.shape and np.may_share_memory(M, self.A):
+            return self.A_norm_sq
+        return spectral_norm_sq(M)
+
+    def block_lipschitz(self, idx) -> float:
+        return self.block_plan(idx).lipschitz
+
+
+class LeastSquares(_LinearLoss):
     """Smooth loss ``f(x) = 0.5 * ||A x - b||^2``.
 
     ``A`` has shape ``(n_obs, dim)`` and ``b`` length ``n_obs``; the
@@ -237,10 +264,7 @@ class LeastSquares:
 
     def block_plan(self, idx) -> _VectorBlockPlan:
         idx = _check_block_indices(idx, self.dim)
-        return _VectorBlockPlan(np.ascontiguousarray(self.A[:, idx]))
-
-    def block_lipschitz(self, idx) -> float:
-        return self.block_plan(idx).lipschitz
+        return _VectorBlockPlan(_columns(self.A, idx), self.operator_norm_sq)
 
     def _check_x(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64).ravel()
@@ -257,10 +281,10 @@ class _MatrixBlockPlan:
     column, so the block Hessian is block diagonal across groups.
     """
 
-    def __init__(self, groups):
+    def __init__(self, groups, norm_sq):
         # groups: list of (matrix column, positions inside the block, A[:, rows])
         self.groups = groups
-        self._lipschitz = None
+        self._norm_sq = norm_sq
 
     def grad_from_residual(self, r):
         out = np.empty(sum(pos.size for _, pos, _ in self.groups))
@@ -274,15 +298,13 @@ class _MatrixBlockPlan:
             r[:, col] += A_sub @ delta[pos]
         return r
 
-    @property
+    @functools.cached_property
     def lipschitz(self) -> float:
-        if self._lipschitz is None:
-            est = max(spectral_norm_sq(A_sub) for _, _, A_sub in self.groups)
-            self._lipschitz = max(est * LIPSCHITZ_SAFETY, LIPSCHITZ_FLOOR)
-        return self._lipschitz
+        est = max(self._norm_sq(A_sub) for _, _, A_sub in self.groups)
+        return max(est * LIPSCHITZ_SAFETY, LIPSCHITZ_FLOOR)
 
 
-class MatrixLeastSquares:
+class MatrixLeastSquares(_LinearLoss):
     """Smooth loss ``f(X) = 0.5 * ||A X - B||_F^2`` over a flattened variable.
 
     ``X`` (shape ``(q, t)``) is handled as a length ``q*t`` vector in
@@ -347,12 +369,9 @@ class MatrixLeastSquares:
             if block_rows.size == self.q:
                 A_sub = self.A
             else:
-                A_sub = np.ascontiguousarray(self.A[:, block_rows])
+                A_sub = _columns(self.A, block_rows)
             groups.append((int(col), pos, A_sub))
-        return _MatrixBlockPlan(groups)
-
-    def block_lipschitz(self, idx) -> float:
-        return self.block_plan(idx).lipschitz
+        return _MatrixBlockPlan(groups, self.operator_norm_sq)
 
 
 def _check_block_indices(idx, dim: int) -> np.ndarray:
@@ -494,7 +513,9 @@ class Problem:
     """Immutable bundle of loss, penalty and block partition.
 
     Safe to share across concurrent solver runs; all solver operations
-    treat it as read-only.
+    treat it as read-only.  The problem owns its block plans (block
+    operators and their Lipschitz bounds, see :attr:`block_plans`): they
+    are built on first use and freed together with the problem.
     """
 
     loss: object
@@ -514,6 +535,11 @@ class Problem:
     @property
     def smoothed_lp(self) -> bool:
         return isinstance(self.penalty, SmoothedLp)
+
+    @functools.cached_property
+    def block_plans(self) -> tuple:
+        """One plan per block of the partition, in partition order."""
+        return tuple(self.loss.block_plan(b) for b in self.partition.blocks)
 
 
 def penalty_value(penalty, x, eps=None) -> float:

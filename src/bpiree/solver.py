@@ -14,7 +14,6 @@ import functools
 import logging
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional
@@ -24,7 +23,7 @@ import numpy as np
 from .model import (
     Problem,
     SmoothedLp,
-    penalty_value,
+    eval_objective,
     penalty_weights,
 )
 from .momentum import MomentumClock, fista_momentum
@@ -85,7 +84,7 @@ class SolverConfig:
     fista_restart_N : restart period of the momentum recurrence.
     mu : smoothing decay factor for the lp variant, in (0, 1).
     eps0 : initial per-coordinate smoothing factor for the lp variant.
-    support_window : ring-buffer length for sign-pattern tracking (lp).
+    support_window : unchanged-sign iterations that count as a fixed support (lp).
     safeguard : redo an iteration with zero momentum if the objective rose.
     record_trace : collect one TraceRecord per iteration.
     record_residual : also compute the stationarity residual per iteration
@@ -221,7 +220,6 @@ class LpState(SolverState):
     """Solver state extended with sign-pattern tracking for the lp variant."""
 
     p: float = 0.5
-    support_history: deque = field(default_factory=lambda: deque(maxlen=100))
     sign_run_start: int = 1
     _sign_current: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -311,11 +309,6 @@ def descent_certificate(
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=32)
-def _block_plans(problem: Problem) -> tuple:
-    return tuple(problem.loss.block_plan(b) for b in problem.partition.blocks)
-
-
 def init_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
     """Build a consistent starting state at ``x0`` (momentum history empty)."""
     config.validate(problem.partition.m)
@@ -324,7 +317,7 @@ def init_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
         raise ValueError(f"x0 has length {x0.shape[0]}, expected {problem.loss.dim}")
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    plans = _block_plans(problem)
+    plans = problem.block_plans
     eps = None
     if problem.smoothed_lp:
         eps = np.full(x0.shape[0], config.eps0, dtype=np.float64)
@@ -334,24 +327,16 @@ def init_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
         update_counts=np.zeros(problem.partition.m, dtype=np.int64),
         last_block_L=np.array([plan.lipschitz for plan in plans]),
         weights=penalty_weights(problem.penalty, x0, eps),
-        F_current=eval_objective_cached(problem, x0, eps),
+        F_current=eval_objective(problem.loss, problem.penalty, x0, eps),
         eps=eps,
         clock=MomentumClock(N=config.fista_restart_N),
         residual=problem.loss.residual(x0),
     )
     if problem.smoothed_lp:
-        state = LpState(
-            **common,
-            p=problem.penalty.p,
-            support_history=deque(maxlen=config.support_window),
-        )
+        state = LpState(**common, p=problem.penalty.p)
         state._sign_current = np.sign(x0).astype(np.int8)
         return state
     return SolverState(**common)
-
-
-def eval_objective_cached(problem, x, eps):
-    return problem.loss.value(x) + penalty_value(problem.penalty, x, eps)
 
 
 def _penalty_g(penalty):
@@ -369,11 +354,10 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
     retry flag, step norms) are left in ``state.last_step``.
     """
     partition = problem.partition
-    plans = _block_plans(problem)
     k = state.k + 1
     b = choose_block(config.schedule, k, partition.m, config.seed)
     idx = partition.blocks[b]
-    plan = plans[b]
+    plan = problem.block_plans[b]
 
     L_curr = plan.lipschitz
     L_prev = float(state.last_block_L[b])
@@ -465,11 +449,11 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
             )
         state.eps[idx] = new_eps
         if isinstance(state, LpState):
-            sign = np.sign(state.x).astype(np.int8)
-            if state._sign_current is None or not np.array_equal(sign, state._sign_current):
+            # only block b moved, so only its signs can have changed
+            sign = np.sign(new_block)
+            if not np.array_equal(sign, state._sign_current[idx]):
                 state.sign_run_start = k
-                state._sign_current = sign
-            state.support_history.append(sign)
+                state._sign_current[idx] = sign
     state.F_current = F_new
 
     state.last_step = _StepInfo(
@@ -591,7 +575,7 @@ def solve_state(problem: Problem, config: SolverConfig, x0, callback=None):
         trace.support = SupportReport(
             fixed=fixed,
             K_observed=state.sign_run_start if state.k > 0 else None,
-            sign=state._sign_current,
+            sign=state._sign_current.copy(),
         )
     return state, trace, status
 

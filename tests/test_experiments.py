@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bpiree import experiments
 from bpiree.experiments import (
     ExperimentSpec,
     SolverEntry,
@@ -199,3 +200,51 @@ class TestRunComparison:
         assert report.reference == "bpiree-lp"
         for row in report.results:
             assert row.status in ("Converged", "MaxIter")
+
+
+class TestComparisonPasses:
+    SPEC = dict(example="log_ls", seed=1, n=40, q=80, sparsity=3)
+
+    def test_reference_runs_twice_every_other_row_once(self, monkeypatch):
+        calls, finals = {}, {}
+        for algo in ("bpiree", "irl1e1", "irl1"):
+
+            def counted(problem, config, x0, callback=None, _run=experiments.ALGORITHMS[algo],
+                        _algo=algo):
+                calls[_algo] = calls.get(_algo, 0) + 1
+                out = _run(problem, config, x0, callback=callback)
+                finals[_algo] = out[0].copy()
+                return out
+
+            monkeypatch.setitem(experiments.ALGORITHMS, algo, counted)
+        report = run_comparison(desk_spec(**self.SPEC))
+        assert calls == {"bpiree": 2, "irl1e1": 1, "irl1": 1}
+        x_ref = finals["bpiree"]
+        for row in report.results:
+            expected = float(np.linalg.norm(finals[row.algo] - x_ref)) / float(
+                np.linalg.norm(x_ref)
+            )
+            assert report.curves[row.label]["x_rel"][-1] == expected
+            assert len(report.curves[row.label]["x_rel"]) == row.iterations
+
+    def test_failing_row_gets_empty_curves(self, monkeypatch):
+        def fails_midway(problem, config, x0, callback=None):
+            if callback is not None:
+                callback(1, x0)
+            raise RuntimeError("breaks after one iteration")
+
+        monkeypatch.setitem(experiments.ALGORITHMS, "irl1", fails_midway)
+        report = run_comparison(desk_spec(**self.SPEC))
+        row = next(r for r in report.results if r.label == "irl1")
+        assert row.status == "NumericalFailure"
+        assert math.isnan(row.rel_err_ref)
+        assert report.curves["irl1"] == {"f_gap": [], "x_rel": []}
+        assert len(report.curves["irl1e1"]["x_rel"]) > 0
+
+    def test_failing_reference_raises(self, monkeypatch):
+        def fails(problem, config, x0, callback=None):
+            raise RuntimeError("no iterate")
+
+        monkeypatch.setitem(experiments.ALGORITHMS, "bpiree", fails)
+        with pytest.raises(RuntimeError, match="reference solver bpiree"):
+            run_comparison(desk_spec(**self.SPEC))

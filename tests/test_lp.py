@@ -225,3 +225,21 @@ class TestLpTrace:
         assert rec.eps_min <= rec.eps_max <= 1.0
         assert 0 <= rec.support_size <= prob.loss.dim
         assert isinstance(rec.sign_fixed, (bool, np.bool_))
+
+
+class TestSignTracking:
+    def test_per_block_tracking_matches_full_vector(self):
+        # sign changes are detected per updated block; a full-vector sign
+        # comparison after every step must see the same run starts
+        prob, _ = build_problem(desk_spec("matrix_lp", seed=3))
+        config = SolverConfig(momentum="fista")
+        state = init_state(prob, config, np.zeros(prob.loss.dim))
+        sign, run_start = np.sign(state.x), 1
+        for _ in range(400):
+            bpiree_step(state, prob, config)
+            new_sign = np.sign(state.x)
+            if not np.array_equal(new_sign, sign):
+                sign, run_start = new_sign, state.k
+            assert state.sign_run_start == run_start
+            np.testing.assert_array_equal(state._sign_current, sign)
+        assert run_start > 1

@@ -1,10 +1,15 @@
 """Model layer: partitions, losses, penalties, objective evaluation."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from bpiree import model
+from bpiree.baselines import pire_au_solve, pire_solve
+from bpiree.experiments import build_problem, desk_spec
 from bpiree.model import (
     BlockPartition,
     CustomPenalty,
@@ -18,6 +23,7 @@ from bpiree.model import (
     eval_objective,
     validate_partition,
 )
+from bpiree.solver import SolverConfig, init_state, solve
 
 
 class TestValidatePartition:
@@ -255,3 +261,56 @@ class TestProblem:
                 LogPenalty(lam=1.0, eps_bar=1.0),
                 BlockPartition(blocks=([0], [0, 1]), n=2),
             )
+
+
+class TestBlockPlans:
+    def test_one_norm_estimate_for_one_operator(self, monkeypatch):
+        # every block of desk matrix_lp (m=5) covers whole columns of X, so
+        # all plans, the full-vector plan and the sweep plans act through A
+        problem, _ = build_problem(desk_spec("matrix_lp", seed=0, m=5))
+        shapes = []
+        real = model.spectral_norm_sq
+
+        def counted(M, *args, **kwargs):
+            shapes.append(M.shape)
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(model, "spectral_norm_sq", counted)
+        config = SolverConfig(max_iter=20)
+        x0 = np.zeros(problem.loss.dim)
+        init_state(problem, config, x0)
+        pire_solve(problem, config, x0)
+        pire_au_solve(problem, config, x0)
+        assert shapes == [problem.loss.A.shape]
+
+    def test_single_block_plan_is_the_matrix(self):
+        A = np.random.default_rng(0).standard_normal((5, 8))
+        loss = LeastSquares(A, np.zeros(5))
+        problem = Problem(loss, LogPenalty(lam=1.0, eps_bar=1.0), BlockPartition.single(8))
+        (plan,) = problem.block_plans
+        assert np.shares_memory(plan.A_sub, loss.A)
+        assert plan.lipschitz == max(model.spectral_norm_sq(A) * 1.01, 1e-12)
+
+    def test_multi_block_plans_are_contiguous_copies(self):
+        A = np.random.default_rng(1).standard_normal((5, 8))
+        loss = LeastSquares(A, np.zeros(5))
+        partition = BlockPartition(blocks=([0, 1, 2], [5, 3], [4, 6, 7]), n=8)
+        problem = Problem(loss, LogPenalty(lam=1.0, eps_bar=1.0), partition)
+        for idx, plan in zip(partition.blocks, problem.block_plans):
+            assert plan.A_sub.flags.c_contiguous
+            assert not np.shares_memory(plan.A_sub, loss.A)
+            np.testing.assert_array_equal(plan.A_sub, A[:, idx])
+
+    def test_plans_are_built_once_per_problem(self):
+        problem, _ = build_problem(desk_spec("log_ls", seed=0, m=3))
+        assert problem.block_plans is problem.block_plans
+        assert len(problem.block_plans) == 3
+
+    @pytest.mark.parametrize("run", [solve, pire_au_solve])
+    def test_solve_does_not_keep_the_problem_alive(self, run):
+        problem, _ = build_problem(desk_spec("log_ls", seed=0, m=2))
+        run(problem, SolverConfig(max_iter=5), np.zeros(problem.loss.dim))
+        ref = weakref.ref(problem)
+        del problem
+        gc.collect()
+        assert ref() is None
