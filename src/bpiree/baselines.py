@@ -31,6 +31,7 @@ from .solver import (
     SolverConfig,
     Trace,
     TraceRecord,
+    _norm,
     _penalty_g,
 )
 
@@ -93,15 +94,18 @@ def _full_vector_loop(problem, config, x0, callback, use_momentum):
         else:
             beta = 0.0
         w = penalty_weights(problem.penalty, x, eps)
-        x_hat = x + beta * (x - x_prev)
-        r_hat = loss.residual(x_hat) if beta != 0.0 else r
+        if beta != 0.0:
+            x_hat = x + beta * (x - x_prev)
+            r_hat = loss.residual(x_hat)
+        else:
+            x_hat, r_hat = x, r
         grad = loss.grad_from_residual(r_hat)
         x_new = block_prox_step(x_hat, grad, alpha, w, g=g, g_subgrad=g_subgrad)
-        if not np.all(np.isfinite(x_new)):
+        if not np.isfinite(x_new).all():
             status = SolveStatus.NUMERICAL_FAILURE
             return x, trace, _finish(trace, k, status)
-        step_norm = float(np.linalg.norm(x_new - x))
-        step_rel = step_norm / max(float(np.linalg.norm(x)), NORM_FLOOR)
+        step_norm = _norm(x_new - x)
+        step_rel = step_norm / max(_norm(x), NORM_FLOOR)
         x_prev = x
         x = x_new
         r = loss.residual(x)
@@ -164,7 +168,7 @@ def _sweep_loop(problem, config, x0, callback, parallel):
     x = _check_x0(problem, x0)
     eps = _frozen_eps(problem, config)
     loss = problem.loss
-    partition = problem.partition
+    blocks = problem.partition.index
     plans = problem.block_plans
     alphas = [1.0 / plan.lipschitz for plan in plans]
     g, g_subgrad = _penalty_g(problem.penalty)
@@ -178,7 +182,7 @@ def _sweep_loop(problem, config, x0, callback, parallel):
             # Jacobi semantics: every block reads the sweep's base point.
             w_all = penalty_weights(problem.penalty, x_start, eps)
             x_new = x_start.copy()
-            for b, idx in enumerate(partition.blocks):
+            for b, idx in enumerate(blocks):
                 grad = plans[b].grad_from_residual(r)
                 x_new[idx] = block_prox_step(
                     x_start[idx], grad, alphas[b], w_all[idx], g=g, g_subgrad=g_subgrad
@@ -187,23 +191,21 @@ def _sweep_loop(problem, config, x0, callback, parallel):
             r = loss.residual(x)
         else:
             # Gauss-Seidel semantics: fresh iterate and weights per block.
-            for b, idx in enumerate(partition.blocks):
-                eps_b = eps[idx] if eps is not None else None
-                if eps_b is not None:
-                    w = problem.penalty.weights(x[idx], eps_b)
+            for b, idx in enumerate(blocks):
+                x_b = x[idx]  # a view for a slice index; written back last
+                if eps is not None:
+                    w = problem.penalty.weights(x_b, eps[idx])
                 else:
-                    w = problem.penalty.weights(x[idx])
+                    w = problem.penalty.weights(x_b)
                 grad = plans[b].grad_from_residual(r)
-                new_block = block_prox_step(
-                    x[idx], grad, alphas[b], w, g=g, g_subgrad=g_subgrad
-                )
-                r = plans[b].residual_after_delta(r, new_block - x[idx])
+                new_block = block_prox_step(x_b, grad, alphas[b], w, g=g, g_subgrad=g_subgrad)
+                r = plans[b].residual_after_delta(r, new_block - x_b)
                 x[idx] = new_block
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             status = SolveStatus.NUMERICAL_FAILURE
             return x, trace, _finish(trace, k, status)
-        step_norm = float(np.linalg.norm(x - x_start))
-        step_rel = step_norm / max(float(np.linalg.norm(x_start)), NORM_FLOOR)
+        step_norm = _norm(x - x_start)
+        step_rel = step_norm / max(_norm(x_start), NORM_FLOOR)
         if config.record_trace:
             F = loss.value_from_residual(r) + penalty_value(problem.penalty, x, eps)
             trace.records.append(

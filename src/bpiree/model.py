@@ -75,6 +75,13 @@ class BlockPartition:
         """Number of blocks."""
         return len(self.blocks)
 
+    @functools.cached_property
+    def index(self) -> tuple:
+        """Per block, what the solvers index with: a basic slice for a
+        contiguous ascending range (so reading the block gives a view), the
+        block's index array otherwise."""
+        return tuple(_as_index(b) for b in self.blocks)
+
     @staticmethod
     def single(n: int) -> "BlockPartition":
         """The trivial partition with one block covering everything."""
@@ -169,14 +176,26 @@ def spectral_norm_sq(M: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> f
 # ---------------------------------------------------------------------------
 
 
+def _as_index(idx: np.ndarray):
+    """``slice(i, i + len(idx))`` when the nonempty ``idx`` is the range
+    ``i, i+1, ...``; ``idx`` itself otherwise.  Both select the same
+    entries, but a slice reads as a view and skips the gather."""
+    start = int(idx[0])
+    if np.array_equal(idx, np.arange(start, start + idx.size)):
+        return slice(start, start + idx.size)
+    return idx
+
+
 def _columns(A: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """C-contiguous ``A[:, cols]``.  A run of columns is taken as a basic
     slice, not copied when contiguous already (all of a C-ordered ``A``);
     other blocks are copied, since a strided view is slower per matvec."""
-    start = int(cols[0])
-    if np.array_equal(cols, np.arange(start, start + cols.size)):
-        return np.ascontiguousarray(A[:, start : start + cols.size])
-    return np.ascontiguousarray(A[:, cols])
+    return np.ascontiguousarray(A[:, _as_index(cols)])
+
+
+def _check_finite(name: str, M: np.ndarray) -> None:
+    if not np.isfinite(M).all():
+        raise ValueError(f"{name} has non-finite entries")
 
 
 class _VectorBlockPlan:
@@ -234,6 +253,8 @@ class LeastSquares(_LinearLoss):
             raise ValueError(
                 f"b has length {b.shape[0]}, expected {A.shape[0]} rows of A"
             )
+        _check_finite("A", A)
+        _check_finite("b", b)
         self.A = A
         self.b = b
 
@@ -242,8 +263,7 @@ class LeastSquares(_LinearLoss):
         return self.A.shape[1]
 
     def value(self, x) -> float:
-        r = self.residual(x)
-        return 0.5 * float(r @ r)
+        return self.value_from_residual(self.residual(x))
 
     def residual(self, x) -> np.ndarray:
         x = self._check_x(x)
@@ -285,16 +305,19 @@ class _MatrixBlockPlan:
         # groups: list of (matrix column, positions inside the block, A[:, rows])
         self.groups = groups
         self._norm_sq = norm_sq
+        # the same groups with each position array as a slice where it can be
+        self._parts = [(col, _as_index(pos), A_sub) for col, pos, A_sub in groups]
+        self._size = sum(pos.size for _, pos, _ in groups)
 
     def grad_from_residual(self, r):
-        out = np.empty(sum(pos.size for _, pos, _ in self.groups))
-        for col, pos, A_sub in self.groups:
+        out = np.empty(self._size)
+        for col, pos, A_sub in self._parts:
             out[pos] = A_sub.T @ r[:, col]
         return out
 
     def residual_after_delta(self, r, delta):
         r = r.copy()
-        for col, pos, A_sub in self.groups:
+        for col, pos, A_sub in self._parts:
             r[:, col] += A_sub @ delta[pos]
         return r
 
@@ -321,6 +344,8 @@ class MatrixLeastSquares(_LinearLoss):
             raise ValueError(
                 f"A has {A.shape[0]} rows but B has {B.shape[0]} rows"
             )
+        _check_finite("A", A)
+        _check_finite("B", B)
         self.A = A
         self.B = B
         self.q = A.shape[1]
@@ -337,14 +362,13 @@ class MatrixLeastSquares(_LinearLoss):
         return x.reshape(self.q, self.t, order="F")
 
     def value(self, x) -> float:
-        r = self.residual(x)
-        return 0.5 * float(np.sum(r * r))
+        return self.value_from_residual(self.residual(x))
 
     def residual(self, x) -> np.ndarray:
         return self.A @ self._as_matrix(x) - self.B
 
     def value_from_residual(self, r) -> float:
-        return 0.5 * float(np.sum(r * r))
+        return 0.5 * float((r * r).sum())
 
     def grad(self, x) -> np.ndarray:
         return (self.A.T @ self.residual(x)).ravel(order="F")
@@ -403,10 +427,10 @@ class LogPenalty:
     g_is_abs = True
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
-        if self.eps_bar <= 0:
-            raise ValueError("eps_bar must be positive")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and nonnegative")
+        if not 0 < self.eps_bar < np.inf:
+            raise ValueError("eps_bar must be finite and positive")
 
     def h(self, t):
         return np.log(np.asarray(t) + self.eps_bar) - np.log(self.eps_bar)
@@ -419,7 +443,7 @@ class LogPenalty:
         return self.lam / (np.abs(x) + self.eps_bar)
 
     def value(self, x) -> float:
-        return self.lam * float(np.sum(self.h(np.abs(x))))
+        return self.lam * float(self.h(np.abs(x)).sum())
 
 
 @dataclass(frozen=True)
@@ -436,8 +460,8 @@ class SmoothedLp:
     g_is_abs = True
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and nonnegative")
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie in (0, 1)")
 
@@ -450,12 +474,12 @@ class SmoothedLp:
     def weights(self, x, eps) -> np.ndarray:
         """Majorization weights ``lam * p * (|x_j| + eps_j^2)^(p-1)``."""
         eps = np.asarray(eps, dtype=np.float64)
-        if np.any(eps <= 0):
+        if (eps <= 0).any():
             raise ValueError("smoothing factors must stay positive")
         return self.lam * self.p * (np.abs(x) + eps**2) ** (self.p - 1.0)
 
     def value(self, x, eps) -> float:
-        return self.lam * float(np.sum((np.abs(x) + np.asarray(eps) ** 2) ** self.p))
+        return self.lam * float(((np.abs(x) + np.asarray(eps) ** 2) ** self.p).sum())
 
     @staticmethod
     def decay_epsilon(x_new, eps, mu: float) -> np.ndarray:
@@ -484,8 +508,8 @@ class CustomPenalty:
     g_subgrad: Optional[Callable[[float], tuple]] = None
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and nonnegative")
 
     @property
     def g_is_abs(self) -> bool:

@@ -38,11 +38,11 @@ def prox_weighted_abs(v, tau):
     """
     v_arr = np.asarray(v, dtype=np.float64)
     tau_arr = np.asarray(tau, dtype=np.float64)
-    if not (np.all(np.isfinite(v_arr)) and np.all(np.isfinite(tau_arr))):
+    if not (np.isfinite(v_arr).all() and np.isfinite(tau_arr).all()):
         raise ValueError("prox_weighted_abs requires finite inputs")
-    if np.any(tau_arr < 0):
+    if (tau_arr < 0).any():
         raise ValueError("threshold tau must be nonnegative")
-    out = np.sign(v_arr) * np.maximum(np.abs(v_arr) - tau_arr, 0.0)
+    out = np.copysign(np.maximum(np.abs(v_arr) - tau_arr, 0.0), v_arr)
     if np.isscalar(v) and np.isscalar(tau):
         return float(out)
     return out
@@ -170,7 +170,7 @@ def block_prox_step(
         raise ValueError("x_hat, grad_block and weights must have equal length")
     if alpha <= 0:
         raise ValueError("stepsize alpha must be positive")
-    if np.any(weights < 0):
+    if (weights < 0).any():
         raise ValueError("weights must be nonnegative")
 
     v = x_hat - alpha * grad_block

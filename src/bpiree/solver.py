@@ -23,7 +23,7 @@ import numpy as np
 from .model import (
     Problem,
     SmoothedLp,
-    eval_objective,
+    penalty_value,
     penalty_weights,
 )
 from .momentum import MomentumClock, fista_momentum
@@ -198,6 +198,18 @@ class SolverState:
     times each block has been updated (their sum equals ``k``), and
     ``weights`` the majorization weights most recently used for each
     coordinate.  ``eps`` is present only for the smoothed-lp penalty.
+
+    The step reuses values it computed before instead of evaluating them
+    again.  These caches hold between steps:
+
+    * ``residual`` is the loss residual at ``x`` (``A x - b``, or
+      ``A X - B``); steps replace it and never write into it;
+    * ``f`` is ``loss.value_from_residual(residual)``;
+    * ``block_pen[i]`` is the penalty of block ``i`` at the current ``x``
+      and ``eps`` (its ``penalty.value`` on the block's entries).
+
+    A caller who edits ``x``, ``eps`` or ``residual`` must build the state
+    again with :func:`init_state`.
     """
 
     x: np.ndarray
@@ -211,6 +223,8 @@ class SolverState:
     clock: MomentumClock = field(default_factory=MomentumClock)
     # internal caches / bookkeeping (not part of the public contract)
     residual: Optional[np.ndarray] = field(default=None, repr=False)
+    f: float = math.nan
+    block_pen: List[float] = field(default_factory=list, repr=False)
     small_step_run: int = 0
     last_step: Optional[_StepInfo] = field(default=None, repr=False)
 
@@ -315,28 +329,42 @@ def init_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
     x0 = np.asarray(x0, dtype=np.float64).ravel().copy()
     if x0.shape[0] != problem.loss.dim:
         raise ValueError(f"x0 has length {x0.shape[0]}, expected {problem.loss.dim}")
-    if not np.all(np.isfinite(x0)):
+    if not np.isfinite(x0).all():
         raise ValueError("x0 must be finite")
     plans = problem.block_plans
+    penalty = problem.penalty
     eps = None
     if problem.smoothed_lp:
         eps = np.full(x0.shape[0], config.eps0, dtype=np.float64)
+    residual = problem.loss.residual(x0)
+    f = problem.loss.value_from_residual(residual)
+    blocks = problem.partition.index
     common = dict(
         x=x0,
-        prev_block_values=[x0[b].copy() for b in problem.partition.blocks],
+        prev_block_values=[x0[b].copy() for b in blocks],
         update_counts=np.zeros(problem.partition.m, dtype=np.int64),
         last_block_L=np.array([plan.lipschitz for plan in plans]),
-        weights=penalty_weights(problem.penalty, x0, eps),
-        F_current=eval_objective(problem.loss, problem.penalty, x0, eps),
+        weights=penalty_weights(penalty, x0, eps),
+        # the sum eval_objective forms, without evaluating the residual again
+        F_current=f + penalty_value(penalty, x0, eps),
         eps=eps,
         clock=MomentumClock(N=config.fista_restart_N),
-        residual=problem.loss.residual(x0),
+        residual=residual,
+        f=f,
+        block_pen=[
+            penalty_value(penalty, x0[b], None if eps is None else eps[b]) for b in blocks
+        ],
     )
     if problem.smoothed_lp:
-        state = LpState(**common, p=problem.penalty.p)
+        state = LpState(**common, p=penalty.p)
         state._sign_current = np.sign(x0).astype(np.int8)
         return state
     return SolverState(**common)
+
+
+def _norm(v) -> float:
+    # np.linalg.norm of a 1-d float64 array (the same dot and sqrt), minus its dispatch
+    return math.sqrt(v.dot(v))
 
 
 def _penalty_g(penalty):
@@ -354,9 +382,10 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
     retry flag, step norms) are left in ``state.last_step``.
     """
     partition = problem.partition
+    penalty = problem.penalty
     k = state.k + 1
     b = choose_block(config.schedule, k, partition.m, config.seed)
-    idx = partition.blocks[b]
+    idx = partition.index[b]
     plan = problem.block_plans[b]
 
     L_curr = plan.lipschitz
@@ -381,79 +410,76 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
     if state.update_counts[b] < 2:
         beta = 0.0
 
+    # x_block and eps_block are views for a slice index: read them before
+    # the block is written back below.
     x_block = state.x[idx]
-    x_prev_block = state.prev_block_values[b]
-    prev_step_norm = float(np.linalg.norm(x_block - x_prev_block))
+    prev_diff = x_block - state.prev_block_values[b]
+    prev_step_norm = _norm(prev_diff)
     eps_block = state.eps[idx] if state.eps is not None else None
-    if eps_block is not None:
-        w_block = problem.penalty.weights(x_block, eps_block)
-    else:
-        w_block = problem.penalty.weights(x_block)
-    g, g_subgrad = _penalty_g(problem.penalty)
-
-    pen_others = state.F_current - problem.loss.value_from_residual(state.residual)
-    if eps_block is not None:
-        pen_others -= problem.penalty.value(x_block, eps_block)
-    else:
-        pen_others -= problem.penalty.value(x_block)
+    pen_args = () if eps_block is None else (eps_block,)
+    w_block = penalty.weights(x_block, *pen_args)
+    g, g_subgrad = _penalty_g(penalty)
+    pen_others = (state.F_current - state.f) - state.block_pen[b]
 
     def attempt(beta_try):
-        x_hat = extrapolate(x_block, x_prev_block, beta_try)
-        r_hat = plan.residual_after_delta(state.residual, x_hat - x_block)
+        if beta_try == 0.0:
+            x_hat, r_hat = x_block, state.residual
+        else:
+            x_hat = x_block + beta_try * prev_diff
+            r_hat = plan.residual_after_delta(state.residual, x_hat - x_block)
         grad = plan.grad_from_residual(r_hat)
         new_block = block_prox_step(x_hat, grad, alpha, w_block, g=g, g_subgrad=g_subgrad)
         r_new = plan.residual_after_delta(r_hat, new_block - x_hat)
         f_new = problem.loss.value_from_residual(r_new)
-        if eps_block is not None:
-            pen_block = problem.penalty.value(new_block, eps_block)
-        else:
-            pen_block = problem.penalty.value(new_block)
-        return new_block, r_new, f_new + pen_others + pen_block
+        pen_block = penalty.value(new_block, *pen_args)
+        return new_block, r_new, f_new, pen_block, f_new + pen_others + pen_block
 
     F_prev = state.F_current
-    new_block, r_new, F_new = attempt(beta)
+    new_block, r_new, f_new, pen_block, F_new = attempt(beta)
     retried = False
     # Safeguard: an increase (or a non-finite value) from an extrapolated
     # step is redone once with zero momentum and accepted.
     if config.safeguard and beta > 0.0 and not F_new <= F_prev:
         beta = 0.0
-        new_block, r_new, F_new = attempt(beta)
+        new_block, r_new, f_new, pen_block, F_new = attempt(beta)
         retried = True
 
-    if not (np.isfinite(F_new) and np.all(np.isfinite(new_block))):
+    if not (math.isfinite(F_new) and np.isfinite(new_block).all()):
         raise NumericalFailure(
             f"non-finite result at iteration {k} (block {b}, F={F_new!r})"
         )
 
     step_vec = new_block - x_block
-    step_norm = float(np.linalg.norm(step_vec))
-    denom = max(float(np.linalg.norm(state.x)), NORM_FLOOR)
+    step_norm = _norm(step_vec)
+    denom = max(_norm(state.x), NORM_FLOOR)
     step_rel = step_norm / denom
 
     state.prev_block_values[b] = x_block.copy()
     state.x[idx] = new_block
     state.residual = r_new
+    state.f = f_new
     state.update_counts[b] += 1
     state.last_block_L[b] = L_curr
     state.weights[idx] = w_block
     state.k = k
 
-    if state.eps is not None:
+    if eps_block is not None:
         new_eps = np.maximum(
             SmoothedLp.decay_epsilon(new_block, eps_block, config.mu), EPS_FLOOR
         )
-        if not np.array_equal(new_eps, eps_block):
+        if not (new_eps == eps_block).all():
             # shrinking eps only lowers the penalty; adjust F for the block
-            F_new += problem.penalty.value(new_block, new_eps) - problem.penalty.value(
-                new_block, eps_block
-            )
+            pen_shrunk = penalty.value(new_block, new_eps)
+            F_new += pen_shrunk - pen_block
+            pen_block = pen_shrunk
         state.eps[idx] = new_eps
         if isinstance(state, LpState):
             # only block b moved, so only its signs can have changed
             sign = np.sign(new_block)
-            if not np.array_equal(sign, state._sign_current[idx]):
+            if not (sign == state._sign_current[idx]).all():
                 state.sign_run_start = k
                 state._sign_current[idx] = sign
+    state.block_pen[b] = pen_block
     state.F_current = F_new
 
     state.last_step = _StepInfo(

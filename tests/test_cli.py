@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from bpiree.cli import main
@@ -129,6 +130,43 @@ class TestSolve:
         assert main(["generate", "--config", str(cfg), "--out", inst]) == 0
         assert main(["solve", str(cfg), "--algo", "bpiree-lp"]) == 2  # wrong positional
         assert main(["solve", inst, "--config", str(cfg), "--algo", "bpiree-lp"]) == 0
+
+
+class TestNonFiniteInstance:
+    @pytest.fixture()
+    def doc_path(self, tmp_path):
+        out = str(tmp_path / "inst.json")
+        assert main(["generate", "--config", write_config(tmp_path), "--out", out]) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "operand,message", [("A", "A has non-finite"), ("b", "b has non-finite"),
+                            ("lam", "lam must be finite")]
+    )
+    def test_json_nan_exits_two(self, doc_path, operand, message, capsys):
+        doc = json.loads(open(doc_path).read())
+        if operand == "A":
+            doc["A"][0][1] = float("nan")
+        elif operand == "b":
+            doc["b"][2] = float("nan")
+        else:
+            doc["penalty"]["lam"] = float("nan")
+        with open(doc_path, "w") as f:
+            f.write(json.dumps(doc))  # Python's json writes the NaN literal
+        assert "NaN" in open(doc_path).read()
+        assert main(["solve", doc_path, "--algo", "bpiree"]) == 2
+        err = capsys.readouterr().err
+        assert "malformed instance" in err and message in err
+
+    def test_inf_in_blob_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, blob=True)
+        inst = str(tmp_path / "inst.json")
+        assert main(["generate", "--config", cfg, "--out", inst]) == 0
+        with open(inst + ".A.bin", "r+b") as f:
+            f.seek(8 * 5)
+            f.write(np.array([np.inf], dtype="<f8").tobytes())
+        assert main(["solve", inst, "--algo", "pire"]) == 2
+        assert "A has non-finite" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -263,6 +263,61 @@ class TestProblem:
             )
 
 
+class TestNonFiniteData:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("operand", ["A", "b"])
+    def test_least_squares_names_the_operand(self, operand, bad):
+        data = {"A": np.eye(3), "b": np.ones(3)}
+        data[operand] = data[operand].copy()
+        data[operand].flat[1] = bad
+        with pytest.raises(ValueError, match=rf"^{operand} has non-finite entries"):
+            LeastSquares(data["A"], data["b"])
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda bad: LogPenalty(lam=bad, eps_bar=0.1),
+            lambda bad: LogPenalty(lam=1.0, eps_bar=bad),
+            lambda bad: SmoothedLp(lam=bad, p=0.5),
+            lambda bad: SmoothedLp(lam=1.0, p=bad),
+            lambda bad: CustomPenalty(lam=bad, h=abs, h_prime=lambda t: 1.0),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_penalty_parameters(self, make, bad):
+        with pytest.raises(ValueError, match="finite|lie in"):
+            make(bad)
+
+    @pytest.mark.parametrize("operand", ["A", "B"])
+    def test_matrix_least_squares_names_the_operand(self, operand):
+        data = {"A": np.eye(3), "B": np.ones((3, 2))}
+        data[operand] = data[operand].copy()
+        data[operand].flat[-1] = math.nan
+        with pytest.raises(ValueError, match=rf"^{operand} has non-finite entries"):
+            MatrixLeastSquares(data["A"], data["B"])
+
+
+class TestBlockIndex:
+    def test_contiguous_blocks_are_slices(self):
+        partition = BlockPartition.contiguous(10, 3)
+        assert partition.index == (slice(0, 3), slice(3, 7), slice(7, 10))
+        for idx, block in zip(partition.index, partition.blocks):
+            assert block.dtype == np.intp  # the blocks stay index arrays
+            np.testing.assert_array_equal(np.arange(10)[idx], block)
+
+    def test_other_blocks_keep_their_arrays(self):
+        partition = BlockPartition(blocks=([0, 2], [3, 1], [4, 5]), n=6)
+        first, second, third = partition.index
+        assert first is partition.blocks[0] and second is partition.blocks[1]
+        assert third == slice(4, 6)
+
+    def test_matrix_plan_positions_stay_arrays(self):
+        problem, _ = build_problem(desk_spec("matrix_lp", seed=0, m=3))
+        for plan in problem.block_plans:
+            for _col, pos, _A in plan.groups:
+                assert isinstance(pos, np.ndarray) and pos.dtype == np.intp
+
+
 class TestBlockPlans:
     def test_one_norm_estimate_for_one_operator(self, monkeypatch):
         # every block of desk matrix_lp (m=5) covers whole columns of X, so

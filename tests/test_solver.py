@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,11 +11,15 @@ from bpiree.model import (
     BlockPartition,
     LeastSquares,
     LogPenalty,
+    MatrixLeastSquares,
     Problem,
+    SmoothedLp,
     penalty_weights,
 )
 from bpiree.experiments import build_problem, desk_spec
+from bpiree.momentum import MomentumClock, fista_momentum
 from bpiree.solver import (
+    EPS_FLOOR,
     SolveStatus,
     SolverConfig,
     bpiree_step,
@@ -179,6 +184,182 @@ class TestBpireeStep:
         w_expected = prob.penalty.weights(np.array([0.3, 0.4]))
         bpiree_step(state, prob, config)
         np.testing.assert_allclose(state.weights, w_expected)
+
+
+# ---------------------------------------------------------------------------
+# differential check: the step against a plain transcription of its maths
+# ---------------------------------------------------------------------------
+
+
+def _reference_init(problem, config, x0):
+    """Starting point of the reference step, every value evaluated afresh."""
+    loss, penalty = problem.loss, problem.penalty
+    eps = np.full(loss.dim, config.eps0) if problem.smoothed_lp else None
+    residual = loss.residual(x0)
+    if isinstance(loss, MatrixLeastSquares):
+        f = 0.5 * float(np.sum(residual * residual))
+    else:
+        f = 0.5 * float(residual @ residual)
+    pen = penalty.value(x0, eps) if eps is not None else penalty.value(x0)
+    return SimpleNamespace(
+        x=x0.copy(),
+        prev=[x0[b].copy() for b in problem.partition.blocks],
+        counts=np.zeros(problem.partition.m, dtype=np.int64),
+        last_L=np.array([plan.lipschitz for plan in problem.block_plans]),
+        F=f + pen,
+        eps=eps,
+        clock=MomentumClock(N=config.fista_restart_N),
+        residual=residual,
+        k=0,
+    )
+
+
+def _reference_step(ref, problem, config):
+    """One block step written out directly: gathered index arrays, an
+    extrapolation matvec at every momentum (zero too), the objective of
+    the other blocks recomputed from the residual and the block penalty,
+    the soft threshold as sign * max and norms by ``np.linalg.norm``.
+    Returns whether the safeguard redid the step."""
+    loss, penalty = problem.loss, problem.penalty
+    k = ref.k + 1
+    b = choose_block(config.schedule, k, problem.partition.m, config.seed)
+    idx = problem.partition.blocks[b]
+    plan = problem.block_plans[b]
+    L_curr = plan.lipschitz
+    alpha = 1.0 / (config.gamma * L_curr)
+    beta = 0.0
+    if config.momentum in ("fista", "fista_capped"):
+        beta, ref.clock = fista_momentum(ref.clock)
+    bound = extrapolation_bound(float(ref.last_L[b]), L_curr, config.gamma, config.delta)
+    if config.momentum == "fista_capped":
+        beta = min(beta, bound)
+    elif config.momentum == "bound":
+        beta = bound
+    beta = min(beta, 1.0)
+    if ref.counts[b] < 2:
+        beta = 0.0
+
+    x_block, x_prev = ref.x[idx], ref.prev[b]
+    eps_block = ref.eps[idx] if ref.eps is not None else None
+    args = () if eps_block is None else (eps_block,)
+    w = penalty.weights(x_block, *args)
+    pen_others = ref.F - loss.value_from_residual(ref.residual)
+    pen_others -= penalty.value(x_block, *args)
+
+    def attempt(beta_try):
+        x_hat = x_block + beta_try * (x_block - x_prev)
+        r_hat = plan.residual_after_delta(ref.residual, x_hat - x_block)
+        v = x_hat - alpha * plan.grad_from_residual(r_hat)
+        new = np.sign(v) * np.maximum(np.abs(v) - alpha * w, 0.0)
+        r_new = plan.residual_after_delta(r_hat, new - x_hat)
+        F = loss.value_from_residual(r_new) + pen_others + penalty.value(new, *args)
+        return new, r_new, F
+
+    new, r_new, F_new = attempt(beta)
+    retried = config.safeguard and beta > 0.0 and not F_new <= ref.F
+    if retried:
+        new, r_new, F_new = attempt(0.0)
+    ref.step_rel = float(np.linalg.norm(new - x_block)) / max(
+        float(np.linalg.norm(ref.x)), 1e-12
+    )
+    ref.prev[b] = x_block.copy()
+    ref.x[idx] = new
+    ref.residual = r_new
+    ref.counts[b] += 1
+    ref.last_L[b] = L_curr
+    ref.k = k
+    if eps_block is not None:
+        new_eps = np.maximum(SmoothedLp.decay_epsilon(new, eps_block, config.mu), EPS_FLOOR)
+        if not np.array_equal(new_eps, eps_block):
+            F_new += penalty.value(new, new_eps) - penalty.value(new, eps_block)
+        ref.eps[idx] = new_eps
+    ref.F = F_new
+    return retried
+
+
+def _shuffled_blocks(rng, n, m):
+    # every block's indices out of order, so no block is a slice
+    perm = rng.permutation(n)
+    return BlockPartition(blocks=tuple(perm[i::m] for i in range(m)), n=n)
+
+
+def _vector_problem(partition_kind):
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((30, 60)) @ np.diag(np.linspace(0.2, 3.0, 60))
+    b = rng.standard_normal(30)
+    partition = {
+        "single": BlockPartition.single(60),
+        "contiguous": BlockPartition.contiguous(60, 4),
+        "shuffled": _shuffled_blocks(rng, 60, 4),
+    }[partition_kind]
+    return Problem(LeastSquares(A, b), LogPenalty(lam=0.05, eps_bar=0.1), partition)
+
+
+def _matrix_problem(partition_kind):
+    rng = np.random.default_rng(12)
+    q, t = 12, 4
+    A = rng.standard_normal((10, q))
+    X = np.zeros((q, t))
+    X[rng.choice(q, 3, replace=False)] = rng.standard_normal((3, t))
+    B = A @ X + 0.01 * rng.standard_normal((10, t))
+    partition = {
+        "single": BlockPartition.single(q * t),
+        "contiguous": BlockPartition.contiguous(q * t, 3),  # parts of columns too
+        "shuffled": _shuffled_blocks(rng, q * t, 3),
+    }[partition_kind]
+    return Problem(MatrixLeastSquares(A, B), SmoothedLp(lam=0.05, p=0.5), partition)
+
+
+class TestStepMatchesReference:
+    """Iterate, smoothing factors, residual and objective of every step are
+    bitwise equal to the reference transcription."""
+
+    CASES = [
+        (kind, make, config)
+        for make in (_vector_problem, _matrix_problem)
+        for kind in ("single", "contiguous", "shuffled")
+        for config in (
+            SolverConfig(),
+            SolverConfig(momentum="fista"),
+            SolverConfig(momentum="fista", fista_restart_N=7, schedule="shuffled", seed=3),
+        )
+    ]
+
+    @pytest.mark.parametrize(
+        "kind,make,config",
+        CASES,
+        ids=[
+            f"{make.__name__[1:]}-{kind}-{config.momentum}-N{config.fista_restart_N}"
+            for kind, make, config in CASES
+        ],
+    )
+    def test_bitwise_equal_every_step(self, kind, make, config):
+        problem = make(kind)
+        is_slice = [isinstance(i, slice) for i in problem.partition.index]
+        assert all(is_slice) if kind != "shuffled" else not any(is_slice)
+        x0 = np.random.default_rng(5).standard_normal(problem.loss.dim)
+        state = init_state(problem, config, x0)
+        ref = _reference_init(problem, config, x0)
+        retries = 0
+        for _ in range(400):
+            bpiree_step(state, problem, config)
+            retried = _reference_step(ref, problem, config)
+            assert state.last_step.retried == retried
+            retries += retried
+            np.testing.assert_array_equal(state.x, ref.x)
+            np.testing.assert_array_equal(state.residual, ref.residual)
+            if ref.eps is not None:
+                np.testing.assert_array_equal(state.eps, ref.eps)
+            assert state.F_current.hex() == ref.F.hex()
+            assert state.last_step.step_rel.hex() == ref.step_rel.hex()
+        if config.momentum == "fista" and config.fista_restart_N == 200:
+            assert retries > 0, "the safeguard path was not exercised"
+
+    def test_matrix_blocks_split_inside_a_column(self):
+        # the shuffled matrix partition reaches the index-array position path
+        problem = _matrix_problem("shuffled")
+        positions = [pos for plan in problem.block_plans for _, pos, _ in plan.groups]
+        assert any(not np.array_equal(p, np.arange(p[0], p[0] + p.size)) for p in positions)
 
 
 class TestSolve:
