@@ -16,8 +16,6 @@ from .model import (
     PartitionReport,
     Problem,
     SmoothedLp,
-    block_gradient,
-    block_lipschitz,
     eval_objective,
     penalty_weights,
     validate_partition,
@@ -41,13 +39,12 @@ from .solver import (
     bpiree_step,
     choose_block,
     descent_certificate,
-    extrapolate,
     extrapolation_bound,
     init_state,
     solve,
     stationarity_residual,
 )
-from .lp import LpState, SupportReport, lp_weights, solve_lp, support_monitor, update_epsilon
+from .lp import SupportReport, solve_lp, support_monitor
 from .baselines import (
     irl1_solve,
     irl1e1_solve,
@@ -80,8 +77,6 @@ __all__ = [
     "PartitionReport",
     "Problem",
     "SmoothedLp",
-    "block_gradient",
-    "block_lipschitz",
     "eval_objective",
     "penalty_weights",
     "validate_partition",
@@ -102,17 +97,13 @@ __all__ = [
     "bpiree_step",
     "choose_block",
     "descent_certificate",
-    "extrapolate",
     "extrapolation_bound",
     "init_state",
     "solve",
     "stationarity_residual",
-    "LpState",
     "SupportReport",
-    "lp_weights",
     "solve_lp",
     "support_monitor",
-    "update_epsilon",
     "irl1_solve",
     "irl1e1_solve",
     "pire_au_solve",

@@ -41,6 +41,7 @@ from .experiments import (
 from .io import atomic_write_text, load_problem, save_problem, write_trace_csv
 from .lp import solve_lp
 from .model import eval_objective, penalty_weights
+from .prox import NumericalFailure
 from .solver import SolveStatus, SolverConfig, stationarity_residual
 
 logger = logging.getLogger("bpiree")
@@ -297,6 +298,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

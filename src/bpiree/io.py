@@ -54,23 +54,14 @@ def atomic_write_text(path: str, text: str) -> None:
 
     Guarantees no partial file is left behind on failure.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, text, "w")
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
+def _atomic_write(path: str, data, mode: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "wb") as f:
+        with os.fdopen(fd, mode) as f:
             f.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -113,9 +104,7 @@ def save_problem(path: str, problem: Problem, x_true=None, blob: bool = False) -
     }
     if blob:
         blob_path = path + ".A.bin"
-        _atomic_write_bytes(
-            blob_path, np.ascontiguousarray(A, dtype="<f8").tobytes()
-        )
+        _atomic_write(blob_path, np.ascontiguousarray(A, dtype="<f8").tobytes(), "wb")
         doc["A"] = os.path.basename(blob_path)
         doc["A_shape"] = list(A.shape)
     else:

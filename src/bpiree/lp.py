@@ -16,29 +16,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import Problem, SmoothedLp
-from .solver import LpState, SolverConfig, solve_state
+from .solver import SolverConfig, solve_state
 
 __all__ = [
-    "lp_weights",
-    "update_epsilon",
     "solve_lp",
     "SupportReport",
     "support_monitor",
-    "LpState",
 ]
-
-
-def lp_weights(x_block, eps_block, lam: float, p: float) -> np.ndarray:
-    """Reweighting coefficients ``lam * p * (|x_j| + eps_j^2)^(p-1)``.
-
-    Always finite because the smoothing factors stay positive.
-    """
-    return SmoothedLp(lam=lam, p=p).weights(x_block, eps_block)
-
-
-def update_epsilon(x_new_block, eps_block, mu: float) -> np.ndarray:
-    """Smoothing decay: eps unchanged where the new value is 0, else ``sqrt(mu)*eps``."""
-    return SmoothedLp.decay_epsilon(x_new_block, eps_block, mu)
 
 
 def solve_lp(problem: Problem, config: SolverConfig, x0, callback=None):

@@ -15,10 +15,13 @@ time.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+from .prox import NumericalFailure
 
 __all__ = [
     "BlockPartition",
@@ -31,8 +34,6 @@ __all__ = [
     "CustomPenalty",
     "Problem",
     "eval_objective",
-    "block_gradient",
-    "block_lipschitz",
     "spectral_norm_sq",
 ]
 
@@ -198,6 +199,16 @@ def _check_finite(name: str, M: np.ndarray) -> None:
         raise ValueError(f"{name} has non-finite entries")
 
 
+def _lipschitz_bound(norm_sq: float) -> float:
+    """Block Lipschitz constant from a squared spectral norm estimate; a
+    non-finite one (the power iteration overflows on entries near 1e155)
+    gives no stepsize and raises :class:`~bpiree.prox.NumericalFailure`."""
+    L = max(norm_sq * LIPSCHITZ_SAFETY, LIPSCHITZ_FLOOR)
+    if not math.isfinite(L):
+        raise NumericalFailure(f"block Lipschitz estimate is not finite ({norm_sq!r})")
+    return L
+
+
 class _VectorBlockPlan:
     """Cached column submatrix for fast block updates of a least-squares loss."""
 
@@ -213,7 +224,7 @@ class _VectorBlockPlan:
 
     @functools.cached_property
     def lipschitz(self) -> float:
-        return max(self._norm_sq(self.A_sub) * LIPSCHITZ_SAFETY, LIPSCHITZ_FLOOR)
+        return _lipschitz_bound(self._norm_sq(self.A_sub))
 
 
 class _LinearLoss:
@@ -232,6 +243,12 @@ class _LinearLoss:
         return spectral_norm_sq(M)
 
     def block_lipschitz(self, idx) -> float:
+        """Upper bound on the Lipschitz constant of the gradient block ``idx``.
+
+        The squared spectral norm of the block operator (power iteration,
+        tol 1e-8, at most 500 iterations) times a 1.01 safety factor,
+        floored at 1e-12 for zero submatrices.
+        """
         return self.block_plan(idx).lipschitz
 
 
@@ -323,8 +340,7 @@ class _MatrixBlockPlan:
 
     @functools.cached_property
     def lipschitz(self) -> float:
-        est = max(self._norm_sq(A_sub) for _, _, A_sub in self.groups)
-        return max(est * LIPSCHITZ_SAFETY, LIPSCHITZ_FLOOR)
+        return _lipschitz_bound(max(self._norm_sq(A_sub) for _, _, A_sub in self.groups))
 
 
 class MatrixLeastSquares(_LinearLoss):
@@ -598,18 +614,3 @@ def eval_objective(loss, penalty, x, eps=None) -> float:
     if eps is not None and np.asarray(eps).ravel().shape[0] != x.shape[0]:
         raise ValueError("eps must have the same length as x")
     return loss.value(x) + penalty_value(penalty, x, eps)
-
-
-def block_gradient(loss, x, block) -> np.ndarray:
-    """Gradient of the smooth loss restricted to one block of coordinates."""
-    return loss.block_grad(x, block)
-
-
-def block_lipschitz(loss, block) -> float:
-    """Upper bound on the block gradient Lipschitz constant.
-
-    For least-squares losses this is the squared spectral norm of the
-    column submatrix (power iteration, tol 1e-8, at most 500 iterations)
-    times a 1.01 safety factor, floored at 1e-12 for zero submatrices.
-    """
-    return loss.block_lipschitz(block)

@@ -6,6 +6,9 @@ iterate, and solves the weighted proximal subproblem with stepsize
 ``1/(gamma * L_block)``.  A monotone safeguard redoes an iteration once
 with zero momentum whenever the extrapolated step increased the objective,
 which keeps the objective sequence nonincreasing.
+
+The iteration loop here runs every algorithm of the package: this block
+step, and the full-vector and sweep steps of the baselines.
 """
 
 from __future__ import annotations
@@ -20,12 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .model import (
-    Problem,
-    SmoothedLp,
-    penalty_value,
-    penalty_weights,
-)
+from .model import Problem, SmoothedLp, penalty_value, penalty_weights
 from .momentum import MomentumClock, fista_momentum
 from .prox import NumericalFailure, block_prox_step
 
@@ -39,7 +37,6 @@ __all__ = [
     "Trace",
     "choose_block",
     "extrapolation_bound",
-    "extrapolate",
     "init_state",
     "bpiree_step",
     "solve",
@@ -77,7 +74,6 @@ class SolverConfig:
     delta : safety fraction (0, 1) inside the admissible momentum bound.
     schedule : "cyclic" or "shuffled" (seeded reshuffled cycles).
     seed : seed for the shuffled schedule.
-    T : essentially-cyclic window bound (defaults to the block count).
     momentum : "fista_capped" caps the restarted FISTA value at the
         admissible bound; "fista" uses the raw FISTA value and relies on
         the safeguard; "bound" always uses the bound; "none" disables it.
@@ -96,7 +92,6 @@ class SolverConfig:
     delta: float = 0.9
     schedule: str = "cyclic"
     seed: int = 0
-    T: Optional[int] = None
     max_iter: int = 100_000
     tol: float = 1e-4
     safeguard: bool = True
@@ -109,7 +104,7 @@ class SolverConfig:
     record_residual: bool = False
     check_descent: bool = False
 
-    def validate(self, m: Optional[int] = None) -> None:
+    def validate(self) -> None:
         if not self.gamma > 1.0:
             raise ValueError("gamma must exceed 1")
         if not 0.0 < self.delta < 1.0:
@@ -130,8 +125,6 @@ class SolverConfig:
             raise ValueError("fista_restart_N must be positive")
         if self.support_window < 1:
             raise ValueError("support_window must be positive")
-        if m is not None and self.T is not None and self.T < m:
-            raise ValueError("T must be at least the number of blocks")
 
 
 @dataclass
@@ -176,17 +169,19 @@ class Trace:
 
 @dataclass
 class _StepInfo:
+    """What a step reports to the loop.  The baselines leave the descent
+    certificate's inputs unset (``L_curr`` None) and get no certificates."""
+
     block: int
     beta_used: float
     retried: bool
-    changed: bool
-    step_norm: float
-    prev_step_norm: float
     step_rel: float
-    L_curr: float
-    L_prev: float
-    F_prev: float
-    F_next: float
+    step_norm: float = math.nan
+    prev_step_norm: float = math.nan
+    L_curr: Optional[float] = None
+    L_prev: float = math.nan
+    F_prev: float = math.nan
+    F_next: float = math.nan
 
 
 @dataclass
@@ -194,10 +189,12 @@ class SolverState:
     """Mutable iteration state.
 
     ``prev_block_values[i]`` holds the value of block ``i`` before its last
-    update (the extrapolation anchor), ``update_counts`` the number of
-    times each block has been updated (their sum equals ``k``), and
-    ``weights`` the majorization weights most recently used for each
-    coordinate.  ``eps`` is present only for the smoothed-lp penalty.
+    update (the extrapolation anchor; the baselines keep the whole previous
+    iterate there), ``update_counts`` the number of times each block has
+    been updated (their sum equals ``k``).  ``eps`` is present only for the
+    smoothed-lp penalty.  On smoothed-lp problems the block solver also
+    tracks ``sign``, the sign pattern of ``x``, and ``sign_run_start``, the
+    iteration it last changed.
 
     The step reuses values it computed before instead of evaluating them
     again.  These caches hold between steps:
@@ -206,36 +203,28 @@ class SolverState:
       ``A X - B``); steps replace it and never write into it;
     * ``f`` is ``loss.value_from_residual(residual)``;
     * ``block_pen[i]`` is the penalty of block ``i`` at the current ``x``
-      and ``eps`` (its ``penalty.value`` on the block's entries).
+      and ``eps`` (its ``penalty.value`` on the block's entries; block
+      solver only).
 
     A caller who edits ``x``, ``eps`` or ``residual`` must build the state
     again with :func:`init_state`.
     """
 
     x: np.ndarray
-    prev_block_values: List[np.ndarray]
-    update_counts: np.ndarray
-    last_block_L: np.ndarray
-    weights: np.ndarray
     F_current: float
+    prev_block_values: List[np.ndarray] = field(default_factory=list)
+    update_counts: Optional[np.ndarray] = None
+    last_block_L: Optional[np.ndarray] = None
     k: int = 0
     eps: Optional[np.ndarray] = None
     clock: MomentumClock = field(default_factory=MomentumClock)
+    sign: Optional[np.ndarray] = field(default=None, repr=False)
+    sign_run_start: int = 1
     # internal caches / bookkeeping (not part of the public contract)
     residual: Optional[np.ndarray] = field(default=None, repr=False)
     f: float = math.nan
     block_pen: List[float] = field(default_factory=list, repr=False)
-    small_step_run: int = 0
     last_step: Optional[_StepInfo] = field(default=None, repr=False)
-
-
-@dataclass
-class LpState(SolverState):
-    """Solver state extended with sign-pattern tracking for the lp variant."""
-
-    p: float = 0.5
-    sign_run_start: int = 1
-    _sign_current: Optional[np.ndarray] = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +273,6 @@ def extrapolation_bound(L_prev: float, L_curr: float, gamma: float, delta: float
     return delta * (gamma - 1.0) / (2.0 * (gamma + 1.0)) * math.sqrt(L_prev / L_curr)
 
 
-def extrapolate(x_curr, x_prev, beta: float) -> np.ndarray:
-    """Extrapolated point ``x_curr + beta * (x_curr - x_prev)``."""
-    x_curr = np.asarray(x_curr, dtype=np.float64)
-    x_prev = np.asarray(x_prev, dtype=np.float64)
-    return x_curr + beta * (x_curr - x_prev)
-
-
 def descent_certificate(
     F_prev: float,
     F_next: float,
@@ -323,43 +305,46 @@ def descent_certificate(
 # ---------------------------------------------------------------------------
 
 
-def init_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
-    """Build a consistent starting state at ``x0`` (momentum history empty)."""
-    config.validate(problem.partition.m)
+def _start_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
+    """Check ``config`` and ``x0`` and build the state every algorithm starts
+    from: a copy of ``x0``, ``eps = eps0`` on smoothed-lp problems, the
+    residual, the objective and a fresh momentum clock."""
+    config.validate()
     x0 = np.asarray(x0, dtype=np.float64).ravel().copy()
     if x0.shape[0] != problem.loss.dim:
         raise ValueError(f"x0 has length {x0.shape[0]}, expected {problem.loss.dim}")
     if not np.isfinite(x0).all():
         raise ValueError("x0 must be finite")
-    plans = problem.block_plans
-    penalty = problem.penalty
     eps = None
     if problem.smoothed_lp:
         eps = np.full(x0.shape[0], config.eps0, dtype=np.float64)
     residual = problem.loss.residual(x0)
     f = problem.loss.value_from_residual(residual)
-    blocks = problem.partition.index
-    common = dict(
+    return SolverState(
         x=x0,
-        prev_block_values=[x0[b].copy() for b in blocks],
-        update_counts=np.zeros(problem.partition.m, dtype=np.int64),
-        last_block_L=np.array([plan.lipschitz for plan in plans]),
-        weights=penalty_weights(penalty, x0, eps),
         # the sum eval_objective forms, without evaluating the residual again
-        F_current=f + penalty_value(penalty, x0, eps),
+        F_current=f + penalty_value(problem.penalty, x0, eps),
         eps=eps,
         clock=MomentumClock(N=config.fista_restart_N),
         residual=residual,
         f=f,
-        block_pen=[
-            penalty_value(penalty, x0[b], None if eps is None else eps[b]) for b in blocks
-        ],
     )
+
+
+def init_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
+    """Build a consistent starting state at ``x0`` (momentum history empty)."""
+    state = _start_state(problem, config, x0)
+    x, eps = state.x, state.eps
+    blocks = problem.partition.index
+    state.prev_block_values = [x[b].copy() for b in blocks]
+    state.update_counts = np.zeros(problem.partition.m, dtype=np.int64)
+    state.last_block_L = np.array([plan.lipschitz for plan in problem.block_plans])
+    state.block_pen = [
+        penalty_value(problem.penalty, x[b], None if eps is None else eps[b]) for b in blocks
+    ]
     if problem.smoothed_lp:
-        state = LpState(**common, p=penalty.p)
-        state._sign_current = np.sign(x0).astype(np.int8)
-        return state
-    return SolverState(**common)
+        state.sign = np.sign(x).astype(np.int8)
+    return state
 
 
 def _norm(v) -> float:
@@ -460,7 +445,6 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
     state.f = f_new
     state.update_counts[b] += 1
     state.last_block_L[b] = L_curr
-    state.weights[idx] = w_block
     state.k = k
 
     if eps_block is not None:
@@ -473,12 +457,11 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
             F_new += pen_shrunk - pen_block
             pen_block = pen_shrunk
         state.eps[idx] = new_eps
-        if isinstance(state, LpState):
-            # only block b moved, so only its signs can have changed
-            sign = np.sign(new_block)
-            if not (sign == state._sign_current[idx]).all():
-                state.sign_run_start = k
-                state._sign_current[idx] = sign
+        # only block b moved, so only its signs can have changed
+        sign = np.sign(new_block)
+        if not (sign == state.sign[idx]).all():
+            state.sign_run_start = k
+            state.sign[idx] = sign
     state.block_pen[b] = pen_block
     state.F_current = F_new
 
@@ -486,10 +469,9 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
         block=b,
         beta_used=beta,
         retried=retried,
-        changed=step_norm > 0.0,
+        step_rel=step_rel,
         step_norm=step_norm,
         prev_step_norm=prev_step_norm,
-        step_rel=step_rel,
         L_curr=L_curr,
         L_prev=L_prev,
         F_prev=F_prev,
@@ -503,18 +485,11 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
 # ---------------------------------------------------------------------------
 
 
-def _coverage_window(config: SolverConfig, m: int) -> int:
-    return m if config.schedule == "cyclic" else 2 * m - 1
-
-
-def _fresh_weights(problem, state):
-    return penalty_weights(problem.penalty, state.x, state.eps)
-
-
 def _make_record(problem, state, config, info, wall_ns):
     residual = math.nan
     if config.record_residual and getattr(problem.penalty, "g_is_abs", False):
-        residual = stationarity_residual(problem, state.x, _fresh_weights(problem, state))
+        weights = penalty_weights(problem.penalty, state.x, state.eps)
+        residual = stationarity_residual(problem, state.x, weights)
     base = dict(
         k=state.k,
         F=state.F_current,
@@ -525,7 +500,7 @@ def _make_record(problem, state, config, info, wall_ns):
         retried=info.retried,
         wall_ns=wall_ns,
     )
-    if state.eps is None:
+    if state.sign is None:
         return TraceRecord(**base)
     run_len = state.k - state.sign_run_start + 1
     return LpTraceRecord(
@@ -537,16 +512,22 @@ def _make_record(problem, state, config, info, wall_ns):
     )
 
 
-def solve_state(problem: Problem, config: SolverConfig, x0, callback=None):
-    """Like :func:`solve` but returns the final state instead of the iterate."""
-    state = init_state(problem, config, x0)
+def _iterate(problem, config, state, step, window, callback=None):
+    """The iteration loop every algorithm runs; returns ``(state, trace, status)``.
+
+    ``step(state, problem, config)`` advances the state by one iteration
+    and leaves a ``_StepInfo`` in ``state.last_step``, or raises
+    :class:`~bpiree.prox.NumericalFailure` without committing anything.
+    The run converges once ``window`` consecutive iterations have a
+    relative step below ``config.tol``.
+    """
     trace = Trace()
-    window = _coverage_window(config, problem.partition.m)
     status = SolveStatus.MAX_ITER
+    small_steps = 0
     for _ in range(config.max_iter):
         t0 = time.perf_counter_ns() if config.record_trace else 0
         try:
-            bpiree_step(state, problem, config)
+            step(state, problem, config)
         except NumericalFailure as exc:
             logger.warning("solver stopped: %s", exc)
             status = SolveStatus.NUMERICAL_FAILURE
@@ -556,44 +537,28 @@ def solve_state(problem: Problem, config: SolverConfig, x0, callback=None):
             trace.records.append(
                 _make_record(problem, state, config, info, time.perf_counter_ns() - t0)
             )
-        if config.check_descent:
+        if config.check_descent and info.L_curr is not None:
             cert = descent_certificate(
-                info.F_prev,
-                info.F_next,
-                info.L_curr,
-                info.L_prev,
-                info.beta_used,
-                info.step_norm,
-                info.prev_step_norm,
-                config.gamma,
+                info.F_prev, info.F_next, info.L_curr, info.L_prev,
+                info.beta_used, info.step_norm, info.prev_step_norm, config.gamma,
             )
             cert.k = state.k
             trace.certificates.append(cert)
         if callback is not None:
             callback(state.k, state.x)
         if state.k % 1000 == 0:
-            logger.debug(
-                "iter %d block %d F=%.8e step_rel=%.3e",
-                state.k,
-                info.block,
-                state.F_current,
-                info.step_rel,
-            )
+            logger.debug("iter %d block %d F=%.8e step_rel=%.3e",
+                         state.k, info.block, state.F_current, info.step_rel)
         trace.final_step_rel = info.step_rel
-        # Stopping: the relative-step criterion must hold on a full window
-        # of consecutive iterations (m cyclic, 2m-1 shuffled), so every
-        # block's latest update was small.  A single small block update is
-        # not evidence of joint convergence; with one block this reduces to
-        # the plain per-iteration criterion.
         if info.step_rel < config.tol:
-            state.small_step_run += 1
-            if state.small_step_run >= window:
+            small_steps += 1
+            if small_steps >= window:
                 status = SolveStatus.CONVERGED
                 break
         else:
-            state.small_step_run = 0
+            small_steps = 0
     trace.iterations = state.k
-    if isinstance(state, LpState):
+    if state.sign is not None:
         from .lp import SupportReport  # local import avoids a cycle
 
         run_len = state.k - state.sign_run_start + 1
@@ -601,9 +566,22 @@ def solve_state(problem: Problem, config: SolverConfig, x0, callback=None):
         trace.support = SupportReport(
             fixed=fixed,
             K_observed=state.sign_run_start if state.k > 0 else None,
-            sign=state._sign_current.copy(),
+            sign=state.sign.copy(),
         )
     return state, trace, status
+
+
+def solve_state(problem: Problem, config: SolverConfig, x0, callback=None):
+    """Like :func:`solve` but returns the final state instead of the iterate."""
+    state = init_state(problem, config, x0)
+    # Stopping: the relative-step criterion must hold on a full window of
+    # consecutive iterations (m cyclic, 2m-1 shuffled), so every block's
+    # latest update was small.  A single small block update is not
+    # evidence of joint convergence; with one block this reduces to the
+    # plain per-iteration criterion.
+    m = problem.partition.m
+    window = m if config.schedule == "cyclic" else 2 * m - 1
+    return _iterate(problem, config, state, bpiree_step, window, callback)
 
 
 def solve(problem: Problem, config: SolverConfig, x0, callback=None):

@@ -17,11 +17,11 @@ import pytest
 from bpiree.baselines import irl1_solve, irl1e1_solve, pire_ps_solve
 from bpiree.cli import main as cli_main
 from bpiree.experiments import build_problem, desk_spec, rel_err
-from bpiree.lp import solve_lp, update_epsilon
+from bpiree.lp import solve_lp
 from bpiree.model import (
     LeastSquares,
     MatrixLeastSquares,
-    block_gradient,
+    SmoothedLp,
     penalty_weights,
 )
 from bpiree.prox import ScalarProxProblem, prox_scalar_convex, prox_weighted_abs
@@ -135,7 +135,7 @@ def test_criterion_2_gradient_correctness():
         size = int(rng.integers(1, dim + 1))
         block = rng.choice(dim, size=size, replace=False)
         x = rng.standard_normal(dim)
-        grad = block_gradient(loss, x, block)
+        grad = loss.block_grad(x, block)
         h = 1e-6
         for pos, j in enumerate(block):
             e = np.zeros(dim)
@@ -256,7 +256,7 @@ def test_criterion_9_epsilon_branch():
         x_new = rng.standard_normal(size) * rng.integers(0, 2, size=size)
         eps = rng.uniform(1e-6, 3.0, size=size)
         mu = float(rng.uniform(0.01, 0.99))
-        out = update_epsilon(x_new, eps, mu)
+        out = SmoothedLp.decay_epsilon(x_new, eps, mu)
         for j in range(size):
             expected = eps[j] if x_new[j] == 0.0 else math.sqrt(mu) * eps[j]
             if out[j] != expected:

@@ -18,9 +18,18 @@ from bpiree.model import (
     LeastSquares,
     LogPenalty,
     Problem,
+    penalty_value,
+    penalty_weights,
 )
 from bpiree.momentum import MomentumClock, fista_momentum
-from bpiree.solver import SolveStatus, SolverConfig, solve
+from bpiree.prox import block_prox_step
+from bpiree.solver import (
+    SolveStatus,
+    SolverConfig,
+    TraceRecord,
+    solve,
+    stationarity_residual,
+)
 
 
 def log_problem(A, b, lam=0.0, eps_bar=1.0, m=1):
@@ -202,3 +211,148 @@ class TestAgreementAtLamZero:
         ]
         for s in sols:
             np.testing.assert_allclose(s, x_star, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# differential check: the baselines against a plain transcription of their maths
+# ---------------------------------------------------------------------------
+
+
+def _norm(v):
+    return math.sqrt(v.dot(v))
+
+
+def _reference_baseline(algo, problem, config, x0):
+    """Run one baseline written out as its own loop: the full-vector
+    methods step every coordinate with ``1/L`` for the whole operator and
+    recompute the residual; pire-ps steps every block from the sweep's
+    base point with weights frozen at sweep start and recomputes the
+    residual; pire-au walks the blocks with fresh weights and updates the
+    residual after each block.  Returns one ``(x bytes, F hex, step_rel
+    hex)`` row per iteration, the stop iteration and the status value."""
+    loss, penalty = problem.loss, problem.penalty
+    eps = np.full(loss.dim, config.eps0) if problem.smoothed_lp else None
+    x = np.asarray(x0, dtype=np.float64).copy()
+    r = loss.residual(x)
+    if algo in ("pire", "irl1e1"):
+        alpha = 1.0 / loss.block_lipschitz(np.arange(loss.dim))
+        clock = MomentumClock(N=config.fista_restart_N)
+        x_prev = x.copy()
+    else:
+        alphas = [1.0 / plan.lipschitz for plan in problem.block_plans]
+    rows = []
+    for k in range(1, config.max_iter + 1):
+        x_start = x.copy()
+        if algo in ("pire", "irl1e1"):
+            beta = 0.0
+            if algo == "irl1e1":
+                beta, clock = fista_momentum(clock)
+            w = penalty_weights(penalty, x, eps)
+            if beta != 0.0:
+                x_hat = x + beta * (x - x_prev)
+                r_hat = loss.residual(x_hat)
+            else:
+                x_hat, r_hat = x, r
+            x_new = block_prox_step(x_hat, loss.grad_from_residual(r_hat), alpha, w)
+            x_prev, x = x, x_new
+            r = loss.residual(x)
+        elif algo == "pire-ps":
+            w = penalty_weights(penalty, x_start, eps)
+            x = x_start.copy()
+            for b, (plan, idx) in enumerate(zip(problem.block_plans, problem.partition.blocks)):
+                grad = plan.grad_from_residual(r)
+                x[idx] = block_prox_step(x_start[idx], grad, alphas[b], w[idx])
+            r = loss.residual(x)
+        else:
+            for b, (plan, idx) in enumerate(zip(problem.block_plans, problem.partition.blocks)):
+                x_b = x[idx]
+                w = penalty.weights(x_b) if eps is None else penalty.weights(x_b, eps[idx])
+                new = block_prox_step(x_b, plan.grad_from_residual(r), alphas[b], w)
+                r = plan.residual_after_delta(r, new - x_b)
+                x[idx] = new
+        assert np.isfinite(x).all()
+        step_norm = _norm(x - x_start)
+        step_rel = step_norm / max(_norm(x_start), 1e-12)
+        F = loss.value_from_residual(r) + penalty_value(penalty, x, eps)
+        rows.append((x.tobytes(), F.hex(), step_rel.hex()))
+        if step_norm == 0.0 or step_rel < config.tol:
+            return rows, k, SolveStatus.CONVERGED.value
+    return rows, config.max_iter, SolveStatus.MAX_ITER.value
+
+
+_SOLVERS = {
+    "pire": pire_solve,
+    "irl1e1": irl1e1_solve,
+    "pire-ps": pire_ps_solve,
+    "pire-au": pire_au_solve,
+}
+
+
+class TestMatchesTranscription:
+    """Every iterate, objective and relative step of the baselines is
+    bitwise equal to the transcription, and so are the stop iteration and
+    the status.  The cap stops pire-ps on log_ls m=4, which diverges, before
+    its objective overflows (at iteration 2153); :class:`TestDivergence`
+    covers what happens there."""
+
+    CASES = [
+        (example, m, algo)
+        for example, m in (("log_ls", 1), ("log_ls", 4), ("matrix_lp", 5))
+        for algo in ("pire", "irl1e1", "pire-ps", "pire-au")
+    ]
+
+    @pytest.mark.parametrize("example,m,algo", CASES)
+    def test_every_iteration_bitwise(self, example, m, algo):
+        prob, _ = build_problem(desk_spec(example, seed=0, m=m))
+        x0 = np.zeros(prob.loss.dim)
+        config = SolverConfig(record_trace=True, max_iter=2000)
+        iterates = []
+        _, trace, status = _SOLVERS[algo](
+            prob, config, x0, callback=lambda k, x: iterates.append(x.tobytes())
+        )
+        rows, k_stop, ref_status = _reference_baseline(algo, prob, config, x0)
+        got = [
+            (x, rec.F.hex(), rec.step_rel.hex()) for x, rec in zip(iterates, trace.records)
+        ]
+        assert len(iterates) == len(trace.records) == len(rows)
+        for k, (g, r) in enumerate(zip(got, rows), start=1):
+            assert g == r, f"iteration {k} differs"
+        assert trace.iterations == k_stop
+        assert status.value == ref_status
+
+
+class TestDivergence:
+    def test_pire_ps_divergence_is_a_status(self):
+        # Jacobi sweeps with per-block stepsizes 1/L_b overshoot on coupled
+        # blocks; the run must stop at its last finite iterate
+        prob, _ = build_problem(desk_spec("log_ls", seed=0, m=4))
+        with np.errstate(over="ignore"):
+            x, trace, status = pire_ps_solve(
+                prob, SolverConfig(record_trace=True), np.zeros(prob.loss.dim)
+            )
+        assert status is SolveStatus.NUMERICAL_FAILURE
+        assert np.isfinite(x).all()
+        assert trace.iterations == len(trace.records) > 0
+        assert math.isfinite(trace.records[-1].F)
+
+
+class TestSharedLoop:
+    @pytest.mark.parametrize("fn", [pire_solve, irl1e1_solve, pire_ps_solve, pire_au_solve])
+    def test_residual_column_and_no_certificates(self, fn):
+        # plain records (block -1) on an lp problem, residual column filled,
+        # no certificates and no support report
+        prob, _ = build_problem(desk_spec("matrix_lp", seed=0))
+        config = SolverConfig(
+            record_trace=True, record_residual=True, check_descent=True, max_iter=5
+        )
+        eps = np.full(prob.loss.dim, config.eps0)
+        iterates = []
+        _, trace, _ = fn(prob, config, np.zeros(prob.loss.dim),
+                         callback=lambda k, x: iterates.append(x.copy()))
+        assert trace.certificates == []
+        assert trace.support is None
+        assert [rec.block for rec in trace.records] == [-1] * 5
+        for rec, x in zip(trace.records, iterates):
+            assert type(rec) is TraceRecord
+            w = penalty_weights(prob.penalty, x, eps)
+            assert rec.residual == stationarity_residual(prob, x, w)

@@ -96,6 +96,11 @@ class TestSolve:
     def test_unknown_algo_exit_two(self, instance):
         assert main(["solve", instance, "--algo", "foo"]) == 2
 
+    def test_unknown_solver_field_exit_two(self, instance, capsys):
+        # T (an unused window bound) is no longer a SolverConfig field
+        assert main(["solve", instance, "--algo", "bpiree", "--set", "solver.T=3"]) == 2
+        assert "unknown solver config field 'T'" in capsys.readouterr().err
+
     def test_trace_written(self, tmp_path, instance):
         trace = str(tmp_path / "trace.csv")
         assert main(["solve", instance, "--algo", "irl1", "--trace", trace]) == 0
@@ -130,6 +135,34 @@ class TestSolve:
         assert main(["generate", "--config", str(cfg), "--out", inst]) == 0
         assert main(["solve", str(cfg), "--algo", "bpiree-lp"]) == 2  # wrong positional
         assert main(["solve", inst, "--config", str(cfg), "--algo", "bpiree-lp"]) == 0
+
+
+class TestNumericalFailure:
+    def test_diverging_baseline_exits_five(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n=100, q=300, sparsity=5, m=4, seed=0)
+        inst = str(tmp_path / "inst.json")
+        assert main(["generate", "--config", cfg, "--out", inst]) == 0
+        with np.errstate(over="ignore"):
+            code = main(["solve", inst, "--algo", "pire-ps"])
+        assert code == 5
+        fields = capsys.readouterr().out.split()
+        assert len(fields) == 6
+        assert fields[0] == "pire-ps" and fields[-1] == "NumericalFailure"
+        assert int(fields[1]) > 0
+
+    def test_overflowing_lipschitz_estimate_exits_five(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({
+            "A": [[1e155, 0.0], [0.0, 1.0]], "b": [1.0, 1.0], "blocks": [[0, 1]],
+            "penalty": {"type": "log", "lam": 0.1, "eps_bar": 0.1},
+        }))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["solve", str(inst), "--algo", "bpiree"])
+        assert code == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "numerical failure" in captured.err and "Lipschitz" in captured.err
 
 
 class TestNonFiniteInstance:

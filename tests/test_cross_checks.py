@@ -16,8 +16,6 @@ from bpiree.model import (
     MatrixLeastSquares,
     Problem,
     SmoothedLp,
-    block_gradient,
-    block_lipschitz,
     eval_objective,
 )
 from bpiree.momentum import MomentumClock, fista_momentum
@@ -38,7 +36,7 @@ def reference_trajectory(problem, config, x0, iters):
     x = np.asarray(x0, dtype=float).copy()
     prev = [x[b].copy() for b in partition.blocks]
     counts = [0] * m
-    L = [block_lipschitz(problem.loss, b) for b in partition.blocks]
+    L = [problem.loss.block_lipschitz(b) for b in partition.blocks]
     last_L = list(L)
     eps = np.full(x.size, config.eps0) if smoothed else None
     clock = MomentumClock(N=config.fista_restart_N)
@@ -72,7 +70,7 @@ def reference_trajectory(problem, config, x0, iters):
             x_hat = x[idx] + beta_try * (x[idx] - prev[b])
             probe = x.copy()
             probe[idx] = x_hat
-            grad = block_gradient(problem.loss, probe, idx)
+            grad = problem.loss.block_grad(probe, idx)
             center = x_hat - alpha * grad
             new_block = np.sign(center) * np.maximum(np.abs(center) - alpha * w, 0.0)
             x_new = x.copy()
@@ -187,12 +185,12 @@ class TestMatrixFlatteningEquivalence:
         np.testing.assert_allclose(mat_loss.grad(x), vec_loss.grad(x), rtol=1e-10)
         block = rng.choice(q * t, size=7, replace=False)
         np.testing.assert_allclose(
-            block_gradient(mat_loss, x, block),
-            block_gradient(vec_loss, x, block),
+            mat_loss.block_grad(x, block),
+            vec_loss.block_grad(x, block),
             rtol=1e-10,
         )
-        assert block_lipschitz(mat_loss, block) == pytest.approx(
-            block_lipschitz(vec_loss, block), rel=1e-6
+        assert mat_loss.block_lipschitz(block) == pytest.approx(
+            vec_loss.block_lipschitz(block), rel=1e-6
         )
 
     def test_solver_trajectories_agree_across_representations(self):

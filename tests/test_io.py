@@ -4,6 +4,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from bpiree.experiments import build_problem, desk_spec
 from bpiree.io import (
@@ -117,3 +118,31 @@ class TestAtomicWrite:
         atomic_write_text(path, "one")
         atomic_write_text(path, "two")
         assert open(path).read() == "two"
+
+    @staticmethod
+    def _failing_replace(monkeypatch):
+        def replace(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", replace)
+
+    def test_failed_text_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "out.txt")
+        atomic_write_text(path, "old")
+        self._failing_replace(monkeypatch)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write_text(path, "new")
+        assert open(path).read() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_blob_write_keeps_old_files(self, tmp_path, monkeypatch):
+        prob, _ = build_problem(desk_spec("log_ls", seed=0, n=6, q=12, sparsity=2))
+        path = str(tmp_path / "inst.json")
+        save_problem(path, prob, blob=True)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["inst.json", "inst.json.A.bin"]
+        other, _ = build_problem(desk_spec("log_ls", seed=1, n=6, q=12, sparsity=2))
+        self._failing_replace(monkeypatch)
+        with pytest.raises(OSError, match="rename refused"):
+            save_problem(path, other, blob=True)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bpiree.experiments import build_problem, desk_spec
-from bpiree.lp import lp_weights, solve_lp, support_monitor, update_epsilon
+from bpiree.lp import solve_lp, support_monitor
 from bpiree.model import (
     BlockPartition,
     LeastSquares,
@@ -23,47 +23,48 @@ def lp_problem(A, b, lam, p, m=1):
 
 class TestLpWeights:
     def test_hand_value_half(self):
-        w = lp_weights(np.zeros(1), np.ones(1), lam=1.0, p=0.5)
+        w = SmoothedLp(lam=1.0, p=0.5).weights(np.zeros(1), np.ones(1))
         assert w[0] == pytest.approx(0.5)
 
     def test_hand_value_benchmark_parameters(self):
-        w = lp_weights(np.zeros(1), np.ones(1), lam=0.015, p=0.1)
+        w = SmoothedLp(lam=0.015, p=0.1).weights(np.zeros(1), np.ones(1))
         assert w[0] == pytest.approx(0.0015)
 
     def test_decreasing_in_magnitude(self):
         x = np.array([0.0, 1.0, 100.0, 1e6])
-        w = lp_weights(x, np.ones(4), lam=0.7, p=0.3)
+        w = SmoothedLp(lam=0.7, p=0.3).weights(x, np.ones(4))
         assert np.all(np.diff(w) < 0)
         assert w[-1] == pytest.approx(0.7 * 0.3 * (1e6 + 1) ** (0.3 - 1))
 
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError):
-            lp_weights(np.zeros(1), np.zeros(1), lam=1.0, p=0.5)
+            SmoothedLp(lam=1.0, p=0.5).weights(np.zeros(1), np.zeros(1))
 
 
 class TestUpdateEpsilon:
     def test_zero_keeps_eps(self):
         np.testing.assert_array_equal(
-            update_epsilon(np.zeros(1), np.array([0.5]), mu=0.1), [0.5]
+            SmoothedLp.decay_epsilon(np.zeros(1), np.array([0.5]), mu=0.1), [0.5]
         )
 
     def test_nonzero_shrinks_by_sqrt_mu(self):
-        out = update_epsilon(np.ones(1), np.ones(1), mu=0.1)
+        out = SmoothedLp.decay_epsilon(np.ones(1), np.ones(1), mu=0.1)
         assert out[0] == pytest.approx(math.sqrt(0.1))
 
     def test_geometric_decay(self):
         eps = np.ones(1)
         for _ in range(6):
-            eps = update_epsilon(np.ones(1), eps, mu=0.25)
+            eps = SmoothedLp.decay_epsilon(np.ones(1), eps, mu=0.25)
         assert eps[0] == pytest.approx(0.25 ** 3)
 
     def test_mixed_coordinates(self):
-        out = update_epsilon(np.array([0.0, 2.0, 0.0]), np.array([1.0, 1.0, 0.5]), 0.1)
+        x_new = np.array([0.0, 2.0, 0.0])
+        out = SmoothedLp.decay_epsilon(x_new, np.array([1.0, 1.0, 0.5]), 0.1)
         np.testing.assert_allclose(out, [1.0, math.sqrt(0.1), 0.5])
 
     def test_rejects_bad_mu(self):
         with pytest.raises(ValueError):
-            update_epsilon(np.ones(1), np.ones(1), mu=1.0)
+            SmoothedLp.decay_epsilon(np.ones(1), np.ones(1), mu=1.0)
 
     def test_randomized_branch_correctness(self):
         rng = np.random.default_rng(12)
@@ -71,7 +72,7 @@ class TestUpdateEpsilon:
         for _ in range(1000):
             x_new = rng.standard_normal(4) * rng.integers(0, 2, size=4)
             eps = rng.uniform(0.01, 2.0, size=4)
-            out = update_epsilon(x_new, eps, mu)
+            out = SmoothedLp.decay_epsilon(x_new, eps, mu)
             for j in range(4):
                 if x_new[j] == 0.0:
                     assert out[j] == eps[j]
@@ -241,5 +242,5 @@ class TestSignTracking:
             if not np.array_equal(new_sign, sign):
                 sign, run_start = new_sign, state.k
             assert state.sign_run_start == run_start
-            np.testing.assert_array_equal(state._sign_current, sign)
+            np.testing.assert_array_equal(state.sign, sign)
         assert run_start > 1

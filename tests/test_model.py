@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bpiree import model
-from bpiree.baselines import pire_au_solve, pire_solve
+from bpiree.baselines import irl1_solve, pire_au_solve, pire_solve
 from bpiree.experiments import build_problem, desk_spec
 from bpiree.model import (
     BlockPartition,
@@ -18,11 +18,10 @@ from bpiree.model import (
     MatrixLeastSquares,
     Problem,
     SmoothedLp,
-    block_gradient,
-    block_lipschitz,
     eval_objective,
     validate_partition,
 )
+from bpiree.prox import NumericalFailure
 from bpiree.solver import SolverConfig, init_state, solve
 
 
@@ -97,12 +96,12 @@ class TestBlockGradient:
     def test_identity_gradient(self):
         loss = LeastSquares(np.eye(2), np.ones(2))
         np.testing.assert_allclose(
-            block_gradient(loss, np.zeros(2), [0, 1]), [-1.0, -1.0]
+            loss.block_grad(np.zeros(2), [0, 1]), [-1.0, -1.0]
         )
 
     def test_zero_at_minimizer(self):
         loss = LeastSquares(np.eye(2), np.ones(2))
-        np.testing.assert_allclose(block_gradient(loss, np.ones(2), [0]), [0.0])
+        np.testing.assert_allclose(loss.block_grad(np.ones(2), [0]), [0.0])
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -110,7 +109,7 @@ class TestBlockGradient:
         loss = LeastSquares(A, rng.standard_normal(5))
         x = rng.standard_normal(8)
         block = np.array([1, 4])
-        grad = block_gradient(loss, x, block)
+        grad = loss.block_grad(x, block)
         h = 1e-6
         for pos, j in enumerate(block):
             e = np.zeros(8)
@@ -121,7 +120,7 @@ class TestBlockGradient:
     def test_unknown_block_rejected(self):
         loss = LeastSquares(np.eye(2), np.ones(2))
         with pytest.raises(ValueError):
-            block_gradient(loss, np.zeros(2), [0, 5])
+            loss.block_grad(np.zeros(2), [0, 5])
 
     def test_matrix_loss_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -130,7 +129,7 @@ class TestBlockGradient:
         loss = MatrixLeastSquares(A, B)
         x = rng.standard_normal(6)
         block = np.array([0, 2, 5])
-        grad = block_gradient(loss, x, block)
+        grad = loss.block_grad(x, block)
         h = 1e-6
         for pos, j in enumerate(block):
             e = np.zeros(6)
@@ -142,15 +141,15 @@ class TestBlockGradient:
 class TestBlockLipschitz:
     def test_identity_column(self):
         loss = LeastSquares(np.eye(3), np.zeros(3))
-        assert block_lipschitz(loss, [0]) == pytest.approx(1.01, rel=1e-7)
+        assert loss.block_lipschitz([0]) == pytest.approx(1.01, rel=1e-7)
 
     def test_single_column_norm(self):
         loss = LeastSquares(np.array([[2.0], [0.0]]), np.zeros(2))
-        assert block_lipschitz(loss, [0]) == pytest.approx(4.04, rel=1e-7)
+        assert loss.block_lipschitz([0]) == pytest.approx(4.04, rel=1e-7)
 
     def test_zero_matrix_floor(self):
         loss = LeastSquares(np.zeros((2, 2)), np.zeros(2))
-        assert block_lipschitz(loss, [0, 1]) == 1e-12
+        assert loss.block_lipschitz([0, 1]) == 1e-12
 
     def test_upper_bounds_exact_value(self):
         rng = np.random.default_rng(3)
@@ -158,7 +157,7 @@ class TestBlockLipschitz:
         loss = LeastSquares(A, np.zeros(7))
         block = np.array([0, 3, 4, 8])
         exact = np.linalg.norm(A[:, block], 2) ** 2
-        est = block_lipschitz(loss, block)
+        est = loss.block_lipschitz(block)
         assert exact <= est <= 1.02 * exact
 
     def test_matrix_loss_blockwise(self):
@@ -167,7 +166,7 @@ class TestBlockLipschitz:
         A = rng.standard_normal((6, 4))
         loss = MatrixLeastSquares(A, np.zeros((6, 3)))
         full = np.linalg.norm(A, 2) ** 2
-        est = block_lipschitz(loss, np.arange(4))  # first column of X
+        est = loss.block_lipschitz(np.arange(4))  # first column of X
         assert full <= est <= 1.02 * full
 
     def test_block_gradient_contraction(self):
@@ -177,15 +176,35 @@ class TestBlockLipschitz:
         A = rng.standard_normal((6, 10))
         loss = LeastSquares(A, rng.standard_normal(6))
         block = np.array([2, 3, 7])
-        L = block_lipschitz(loss, block)
+        L = loss.block_lipschitz(block)
         for _ in range(100):
             x = rng.standard_normal(10)
             y = x.copy()
             y[block] += rng.standard_normal(3)
             lhs = np.linalg.norm(
-                block_gradient(loss, x, block) - block_gradient(loss, y, block)
+                loss.block_grad(x, block) - loss.block_grad(y, block)
             )
             assert lhs <= L * np.linalg.norm(x[block] - y[block]) * (1 + 1e-12)
+
+
+class TestOverflowingLipschitz:
+    """Power iteration on entries near 1e155 overflows to inf on its first
+    iteration; no stepsize can be formed from that, so every solver stops
+    with a NumericalFailure naming the estimate."""
+
+    @pytest.mark.parametrize("solver", [solve, irl1_solve, pire_au_solve])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_solvers_raise_numerical_failure(self, solver, m):
+        loss = LeastSquares(np.array([[1e155, 0.0], [0.0, 1.0]]), np.ones(2))
+        prob = Problem(loss, LogPenalty(lam=0.1, eps_bar=0.1), BlockPartition.contiguous(2, m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalFailure, match="Lipschitz estimate is not finite"):
+                solver(prob, SolverConfig(), np.zeros(2))
+
+    def test_finite_estimate_unchanged(self):
+        loss = LeastSquares(np.array([[3.0, 0.0], [0.0, 1.0]]), np.ones(2))
+        norm_sq = model.spectral_norm_sq(loss.A)
+        assert loss.block_lipschitz([0, 1]) == max(norm_sq * 1.01, 1e-12)
 
 
 class TestPenalties:

@@ -25,7 +25,6 @@ from bpiree.solver import (
     bpiree_step,
     choose_block,
     descent_certificate,
-    extrapolate,
     extrapolation_bound,
     init_state,
     solve,
@@ -93,19 +92,6 @@ class TestExtrapolationBound:
             extrapolation_bound(1.0, 1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             extrapolation_bound(1.0, 1.0, 2.0, 1.0)
-
-
-class TestExtrapolate:
-    def test_zero_momentum(self):
-        x = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(extrapolate(x, np.array([0.0, 9.0]), 0.0), x)
-
-    def test_stationary_history(self):
-        x = np.array([1.5])
-        np.testing.assert_array_equal(extrapolate(x, x, 0.7), x)
-
-    def test_direct_formula(self):
-        assert extrapolate(np.array([2.0]), np.array([1.0]), 0.5)[0] == 2.5
 
 
 class TestBpireeStep:
@@ -177,13 +163,17 @@ class TestBpireeStep:
             np.testing.assert_array_equal(state.x[mask], x_before[mask])
 
     def test_weights_follow_previous_iterate(self):
-        # after a step the stored weights of the block equal lam*h'(|x^{k-1}|)
+        # the step thresholds with the weights lam*h'(|x^{k-1}|) of the
+        # previous iterate (weights at the new iterate give another point)
         prob = quadratic_problem(np.eye(2), np.array([1.0, -2.0]), lam=0.5, eps_bar=0.2)
         config = SolverConfig(momentum="none")
-        state = init_state(prob, config, np.array([0.3, 0.4]))
-        w_expected = prob.penalty.weights(np.array([0.3, 0.4]))
+        x0 = np.array([0.3, 0.4])
+        state = init_state(prob, config, x0)
+        alpha = 1.0 / (config.gamma * state.last_block_L[0])
+        v = x0 - alpha * prob.loss.grad(x0)
+        expected = np.sign(v) * np.maximum(np.abs(v) - alpha * prob.penalty.weights(x0), 0.0)
         bpiree_step(state, prob, config)
-        np.testing.assert_allclose(state.weights, w_expected)
+        np.testing.assert_allclose(state.x, expected, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +533,3 @@ class TestConfigValidation:
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs).validate()
-
-    def test_T_at_least_m(self):
-        with pytest.raises(ValueError):
-            SolverConfig(T=2).validate(m=3)
-        SolverConfig(T=3).validate(m=3)
