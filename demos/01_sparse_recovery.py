@@ -11,7 +11,6 @@ from bpiree import (
     SolverConfig,
     build_problem,
     desk_spec,
-    penalty_weights,
     rel_err,
     solve,
     stationarity_residual,
@@ -30,7 +29,7 @@ print(f"objective: {trace.records[-1].F:.6e}")
 print(f"relative error vs planted signal: {rel_err(x, x_true):.3e}")
 print(f"recovered support size: {np.count_nonzero(x)} (planted {spec.nnz()})")
 
-residual = stationarity_residual(problem, x, penalty_weights(problem.penalty, x))
+residual = stationarity_residual(problem, x)
 print(f"stationarity residual: {residual:.3e}")
 
 print("\nobjective trace (every 20th iteration):")

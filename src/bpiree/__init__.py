@@ -17,7 +17,6 @@ from .model import (
     Problem,
     SmoothedLp,
     eval_objective,
-    penalty_weights,
     validate_partition,
 )
 from .prox import (
@@ -44,7 +43,7 @@ from .solver import (
     solve,
     stationarity_residual,
 )
-from .lp import SupportReport, solve_lp, support_monitor
+from .lp import SupportReport, solve_lp
 from .baselines import (
     irl1_solve,
     irl1e1_solve,
@@ -78,7 +77,6 @@ __all__ = [
     "Problem",
     "SmoothedLp",
     "eval_objective",
-    "penalty_weights",
     "validate_partition",
     "NumericalFailure",
     "ScalarProxProblem",
@@ -103,7 +101,6 @@ __all__ = [
     "stationarity_residual",
     "SupportReport",
     "solve_lp",
-    "support_monitor",
     "irl1_solve",
     "irl1e1_solve",
     "pire_au_solve",

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .model import Problem, penalty_value, penalty_weights
+from .model import Problem
 from .momentum import fista_momentum
 from .prox import NumericalFailure, block_prox_step
 from .solver import (
@@ -36,7 +36,6 @@ from .solver import (
     SolverConfig,
     _iterate,
     _norm,
-    _penalty_g,
     _start_state,
     _StepInfo,
 )
@@ -57,7 +56,7 @@ def _accept(state, problem, x_new, r_new, beta):
     """Commit the move to ``x_new`` (residual ``r_new``), or raise
     :class:`NumericalFailure` if the objective or the iterate is not finite."""
     f = problem.loss.value_from_residual(r_new)
-    F = f + penalty_value(problem.penalty, x_new, state.eps)
+    F = f + problem.penalty.value(x_new, state.eps)
     k = state.k + 1
     if not (math.isfinite(F) and np.isfinite(x_new).all()):
         raise NumericalFailure(f"non-finite result at iteration {k} (F={F!r})")
@@ -75,20 +74,19 @@ def _accept(state, problem, x_new, r_new, beta):
 
 def _full_vector_step(state, problem, config, alpha, use_momentum):
     """pire / irl1 / irl1e1: one proximal step on the whole vector."""
-    loss, x = problem.loss, state.x
+    loss, penalty, x = problem.loss, problem.penalty, state.x
     if use_momentum:
         beta, state.clock = fista_momentum(state.clock)
     else:
         beta = 0.0
-    w = penalty_weights(problem.penalty, x, state.eps)
+    w = penalty.weights(x, state.eps)
     if beta != 0.0:
         x_hat = x + beta * (x - state.prev_block_values[0])
         r_hat = loss.residual(x_hat)
     else:
         x_hat, r_hat = x, state.residual
     grad = loss.grad_from_residual(r_hat)
-    g, g_subgrad = _penalty_g(problem.penalty)
-    x_new = block_prox_step(x_hat, grad, alpha, w, g=g, g_subgrad=g_subgrad)
+    x_new = block_prox_step(x_hat, grad, alpha, w, g=penalty.g, g_subgrad=penalty.g_subgrad)
     _accept(state, problem, x_new, loss.residual(x_new), beta)
 
 
@@ -96,12 +94,12 @@ def _sweep_step(state, problem, config, alphas, parallel):
     """pire-ps (parallel=True) / pire-au: one sweep over all blocks."""
     penalty, eps = problem.penalty, state.eps
     plans = problem.block_plans
-    g, g_subgrad = _penalty_g(penalty)
+    g, g_subgrad = penalty.g, penalty.g_subgrad
     x_start, r = state.x, state.residual
     x = x_start.copy()
     if parallel:
         # Jacobi semantics: every block reads the sweep's base point.
-        w_all = penalty_weights(penalty, x_start, eps)
+        w_all = penalty.weights(x_start, eps)
         for b, idx in enumerate(problem.partition.index):
             grad = plans[b].grad_from_residual(r)
             x[idx] = block_prox_step(
@@ -112,7 +110,7 @@ def _sweep_step(state, problem, config, alphas, parallel):
         # Gauss-Seidel semantics: fresh iterate and weights per block.
         for b, idx in enumerate(problem.partition.index):
             x_b = x[idx]  # a view for a slice index; written back last
-            w = penalty_weights(penalty, x_b, None if eps is None else eps[idx])
+            w = penalty.weights(x_b, None if eps is None else eps[idx])
             grad = plans[b].grad_from_residual(r)
             new_block = block_prox_step(x_b, grad, alphas[b], w, g=g, g_subgrad=g_subgrad)
             r = plans[b].residual_after_delta(r, new_block - x_b)
@@ -151,7 +149,7 @@ def pire_solve(problem: Problem, config: SolverConfig, x0, callback=None):
 
 def irl1_solve(problem: Problem, config: SolverConfig, x0, callback=None):
     """Reweighted l1 iteration; pire restricted to the absolute-value ``g``."""
-    if not getattr(problem.penalty, "g_is_abs", False):
+    if problem.penalty.g is not None:
         raise ValueError("irl1 requires the absolute-value g")
     return _full_vector(problem, config, x0, callback, use_momentum=False)
 
@@ -163,7 +161,7 @@ def irl1e1_solve(problem: Problem, config: SolverConfig, x0, callback=None):
     ``config.fista_restart_N`` iterations); the first step equals an
     irl1 step because a fresh clock yields zero momentum.
     """
-    if not getattr(problem.penalty, "g_is_abs", False):
+    if problem.penalty.g is not None:
         raise ValueError("irl1e1 requires the absolute-value g")
     return _full_vector(problem, config, x0, callback, use_momentum=True)
 

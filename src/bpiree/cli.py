@@ -40,7 +40,7 @@ from .experiments import (
 )
 from .io import atomic_write_text, load_problem, save_problem, write_trace_csv
 from .lp import solve_lp
-from .model import eval_objective, penalty_weights
+from .model import eval_objective
 from .prox import NumericalFailure
 from .solver import SolveStatus, SolverConfig, stationarity_residual
 
@@ -208,10 +208,9 @@ def cmd_solve(args) -> int:
         eps_final = np.full(problem.loss.dim, solver_config.eps0)
     F_final = eval_objective(problem.loss, problem.penalty, x, eps_final)
     residual = math.nan
-    if getattr(problem.penalty, "g_is_abs", False):
-        residual = stationarity_residual(
-            problem, x, penalty_weights(problem.penalty, x, eps_final)
-        )
+    # a failed run's last finite iterate may overflow the gradient norm
+    if status is not SolveStatus.NUMERICAL_FAILURE and problem.penalty.g is None:
+        residual = stationarity_residual(problem, x, eps_final)
     print(
         f"{algo} {trace.iterations} {F_final!r} {trace.final_step_rel!r} "
         f"{residual!r} {status.value}"
@@ -226,6 +225,8 @@ def cmd_solve(args) -> int:
         return EXIT_OK
     if status is SolveStatus.MAX_ITER:
         return EXIT_MAX_ITER
+    print(f"numerical failure: {algo} stopped after {trace.iterations} iterations",
+          file=sys.stderr)
     return EXIT_NUMERICAL
 
 

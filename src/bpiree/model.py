@@ -10,6 +10,11 @@ value unless stated otherwise) and ``h`` is a concave increasing map with
 ``h'(t) > 0``.  All index sets are 0-based; a block partition splits
 ``{0, ..., n-1}`` into disjoint nonempty groups that are updated one at a
 time.
+
+Every penalty gives the solvers ``weights(x, eps=None)`` (``lam * h'(g(x_j))``
+per coordinate), ``value(x, eps=None)``, and ``g`` and ``g_subgrad`` for the
+prox (``None`` means the absolute value).  Only :class:`SmoothedLp` reads
+``eps``, its per-coordinate smoothing factors, and it requires them.
 """
 
 from __future__ import annotations
@@ -112,26 +117,32 @@ def validate_partition(partition: BlockPartition) -> PartitionReport:
 
     Returns an ``ok`` report when the blocks are nonempty, pairwise
     disjoint and their union is ``{0, ..., n-1}``; otherwise the report
-    names the first offending index.
+    names the first offence met walking the blocks in order: an empty
+    block, an index outside the range or a repeated index, and last an
+    uncovered index.
     """
     n = partition.n
     if partition.m < 1:
         return PartitionReport(False, "partition has no blocks", None)
-    seen = np.zeros(n, dtype=bool)
-    for bi, block in enumerate(partition.blocks):
-        if block.size == 0:
-            return PartitionReport(False, f"block {bi} is empty", None)
-        for j in block:
-            j = int(j)
-            if j < 0 or j >= n:
-                return PartitionReport(
-                    False, f"index {j} outside range 0..{n - 1}", j
-                )
-            if seen[j]:
-                return PartitionReport(False, f"index {j} duplicated", j)
-            seen[j] = True
-    if not seen.all():
-        j = int(np.flatnonzero(~seen)[0])
+    flat = np.concatenate(partition.blocks)
+    # a stable sort keeps equal indices in block order: all but the first repeat
+    order = np.argsort(flat, kind="stable")
+    repeated = np.zeros(flat.size, dtype=bool)
+    repeated[order[1:]] = flat[order[1:]] == flat[order[:-1]]
+    offenders = np.flatnonzero((flat < 0) | (flat >= n) | repeated)
+    first = offenders[0] if offenders.size else flat.size
+    # an empty block is met before every index of the blocks after it
+    sizes = np.array([block.size for block in partition.blocks])
+    empty = np.flatnonzero((sizes == 0) & (np.cumsum(sizes) <= first))
+    if empty.size:
+        return PartitionReport(False, f"block {empty[0]} is empty", None)
+    if offenders.size:
+        # the first copy of an out-of-range index is an offender itself
+        j = int(flat[first])
+        what = "duplicated" if repeated[first] else f"outside range 0..{n - 1}"
+        return PartitionReport(False, f"index {j} {what}", j)
+    if flat.size < n:  # the indices are in range and distinct
+        j = int(np.flatnonzero(np.bincount(flat, minlength=n) == 0)[0])
         return PartitionReport(False, f"index {j} uncovered", j)
     return PartitionReport(True)
 
@@ -440,7 +451,8 @@ class LogPenalty:
 
     lam: float
     eps_bar: float
-    g_is_abs = True
+    g = None
+    g_subgrad = None
 
     def __post_init__(self):
         if not 0 <= self.lam < np.inf:
@@ -454,11 +466,11 @@ class LogPenalty:
     def h_prime(self, t):
         return 1.0 / (np.asarray(t) + self.eps_bar)
 
-    def weights(self, x) -> np.ndarray:
+    def weights(self, x, eps=None) -> np.ndarray:
         """Majorization weights ``lam * h'(|x_j|)`` at the current point."""
         return self.lam / (np.abs(x) + self.eps_bar)
 
-    def value(self, x) -> float:
+    def value(self, x, eps=None) -> float:
         return self.lam * float(self.h(np.abs(x)).sum())
 
 
@@ -473,7 +485,8 @@ class SmoothedLp:
 
     lam: float
     p: float
-    g_is_abs = True
+    g = None
+    g_subgrad = None
 
     def __post_init__(self):
         if not 0 <= self.lam < np.inf:
@@ -481,20 +494,16 @@ class SmoothedLp:
         if not 0.0 < self.p < 1.0:
             raise ValueError("p must lie in (0, 1)")
 
-    def h(self, t, eps):
-        return (np.asarray(t) + np.asarray(eps) ** 2) ** self.p
-
-    def h_prime(self, t, eps):
-        return self.p * (np.asarray(t) + np.asarray(eps) ** 2) ** (self.p - 1.0)
-
-    def weights(self, x, eps) -> np.ndarray:
+    def weights(self, x, eps=None) -> np.ndarray:
         """Majorization weights ``lam * p * (|x_j| + eps_j^2)^(p-1)``."""
+        if eps is None:
+            raise ValueError("SmoothedLp penalty requires smoothing factors")
         eps = np.asarray(eps, dtype=np.float64)
         if (eps <= 0).any():
             raise ValueError("smoothing factors must stay positive")
         return self.lam * self.p * (np.abs(x) + eps**2) ** (self.p - 1.0)
 
-    def value(self, x, eps) -> float:
+    def value(self, x, eps=None) -> float:
         return self.lam * float(((np.abs(x) + np.asarray(eps) ** 2) ** self.p).sum())
 
     @staticmethod
@@ -527,18 +536,14 @@ class CustomPenalty:
         if not 0 <= self.lam < np.inf:
             raise ValueError("lam must be finite and nonnegative")
 
-    @property
-    def g_is_abs(self) -> bool:
-        return self.g is None
-
     def _g(self, u):
         return abs(u) if self.g is None else self.g(u)
 
-    def weights(self, x) -> np.ndarray:
+    def weights(self, x, eps=None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         return np.array([self.lam * self.h_prime(self._g(float(u))) for u in x])
 
-    def value(self, x) -> float:
+    def value(self, x, eps=None) -> float:
         x = np.asarray(x, dtype=np.float64)
         return self.lam * float(sum(self.h(self._g(float(u))) for u in x))
 
@@ -582,26 +587,6 @@ class Problem:
         return tuple(self.loss.block_plan(b) for b in self.partition.blocks)
 
 
-def penalty_value(penalty, x, eps=None) -> float:
-    """Penalty part of the objective, dispatching on the penalty variant."""
-    if isinstance(penalty, SmoothedLp):
-        if eps is None:
-            raise ValueError("SmoothedLp penalty requires smoothing factors")
-        return penalty.value(x, eps)
-    if eps is not None:
-        raise ValueError("smoothing factors only apply to the SmoothedLp penalty")
-    return penalty.value(x)
-
-
-def penalty_weights(penalty, x, eps=None) -> np.ndarray:
-    """Majorization weights ``lam * h'(g(x_j))`` for every coordinate of x."""
-    if isinstance(penalty, SmoothedLp):
-        if eps is None:
-            raise ValueError("SmoothedLp penalty requires smoothing factors")
-        return penalty.weights(x, eps)
-    return penalty.weights(x)
-
-
 def eval_objective(loss, penalty, x, eps=None) -> float:
     """Full objective ``f(x) + lam * sum_j h(g(x_j))``.
 
@@ -613,4 +598,8 @@ def eval_objective(loss, penalty, x, eps=None) -> float:
         raise ValueError(f"x has length {x.shape[0]}, expected {loss.dim}")
     if eps is not None and np.asarray(eps).ravel().shape[0] != x.shape[0]:
         raise ValueError("eps must have the same length as x")
-    return loss.value(x) + penalty_value(penalty, x, eps)
+    if isinstance(penalty, SmoothedLp) and eps is None:
+        raise ValueError("SmoothedLp penalty requires smoothing factors")
+    if not isinstance(penalty, SmoothedLp) and eps is not None:
+        raise ValueError("smoothing factors only apply to the SmoothedLp penalty")
+    return loss.value(x) + penalty.value(x, eps)

@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .model import Problem, SmoothedLp, penalty_value, penalty_weights
+from .model import Problem, SmoothedLp
 from .momentum import MomentumClock, fista_momentum
 from .prox import NumericalFailure, block_prox_step
 
@@ -323,7 +323,7 @@ def _start_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
     return SolverState(
         x=x0,
         # the sum eval_objective forms, without evaluating the residual again
-        F_current=f + penalty_value(problem.penalty, x0, eps),
+        F_current=f + problem.penalty.value(x0, eps),
         eps=eps,
         clock=MomentumClock(N=config.fista_restart_N),
         residual=residual,
@@ -340,7 +340,7 @@ def init_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
     state.update_counts = np.zeros(problem.partition.m, dtype=np.int64)
     state.last_block_L = np.array([plan.lipschitz for plan in problem.block_plans])
     state.block_pen = [
-        penalty_value(problem.penalty, x[b], None if eps is None else eps[b]) for b in blocks
+        problem.penalty.value(x[b], None if eps is None else eps[b]) for b in blocks
     ]
     if problem.smoothed_lp:
         state.sign = np.sign(x).astype(np.int8)
@@ -350,13 +350,6 @@ def init_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
 def _norm(v) -> float:
     # np.linalg.norm of a 1-d float64 array (the same dot and sqrt), minus its dispatch
     return math.sqrt(v.dot(v))
-
-
-def _penalty_g(penalty):
-    # (g, g_subgrad) for the prox kernel; None means absolute value
-    if getattr(penalty, "g_is_abs", False):
-        return None, None
-    return penalty.g, penalty.g_subgrad
 
 
 def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> SolverState:
@@ -401,9 +394,8 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
     prev_diff = x_block - state.prev_block_values[b]
     prev_step_norm = _norm(prev_diff)
     eps_block = state.eps[idx] if state.eps is not None else None
-    pen_args = () if eps_block is None else (eps_block,)
-    w_block = penalty.weights(x_block, *pen_args)
-    g, g_subgrad = _penalty_g(penalty)
+    w_block = penalty.weights(x_block, eps_block)
+    g, g_subgrad = penalty.g, penalty.g_subgrad
     pen_others = (state.F_current - state.f) - state.block_pen[b]
 
     def attempt(beta_try):
@@ -416,7 +408,7 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
         new_block = block_prox_step(x_hat, grad, alpha, w_block, g=g, g_subgrad=g_subgrad)
         r_new = plan.residual_after_delta(r_hat, new_block - x_hat)
         f_new = problem.loss.value_from_residual(r_new)
-        pen_block = penalty.value(new_block, *pen_args)
+        pen_block = penalty.value(new_block, eps_block)
         return new_block, r_new, f_new, pen_block, f_new + pen_others + pen_block
 
     F_prev = state.F_current
@@ -485,11 +477,15 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
 # ---------------------------------------------------------------------------
 
 
+def _sign_fixed(state, window: int) -> bool:
+    """Whether the sign pattern of ``x`` held for the last ``min(window, k)`` iterations."""
+    return state.k > 0 and state.k - state.sign_run_start + 1 >= min(window, state.k)
+
+
 def _make_record(problem, state, config, info, wall_ns):
     residual = math.nan
-    if config.record_residual and getattr(problem.penalty, "g_is_abs", False):
-        weights = penalty_weights(problem.penalty, state.x, state.eps)
-        residual = stationarity_residual(problem, state.x, weights)
+    if config.record_residual and problem.penalty.g is None:
+        residual = stationarity_residual(problem, state.x, state.eps)
     base = dict(
         k=state.k,
         F=state.F_current,
@@ -502,13 +498,12 @@ def _make_record(problem, state, config, info, wall_ns):
     )
     if state.sign is None:
         return TraceRecord(**base)
-    run_len = state.k - state.sign_run_start + 1
     return LpTraceRecord(
         **base,
         eps_min=float(state.eps.min()),
         eps_max=float(state.eps.max()),
         support_size=int(np.count_nonzero(state.x)),
-        sign_fixed=run_len >= min(config.support_window, state.k),
+        sign_fixed=_sign_fixed(state, config.support_window),
     )
 
 
@@ -561,10 +556,8 @@ def _iterate(problem, config, state, step, window, callback=None):
     if state.sign is not None:
         from .lp import SupportReport  # local import avoids a cycle
 
-        run_len = state.k - state.sign_run_start + 1
-        fixed = state.k > 0 and run_len >= min(config.support_window, state.k)
         trace.support = SupportReport(
-            fixed=fixed,
+            fixed=_sign_fixed(state, config.support_window),
             K_observed=state.sign_run_start if state.k > 0 else None,
             sign=state.sign.copy(),
         )
@@ -603,23 +596,21 @@ def solve(problem: Problem, config: SolverConfig, x0, callback=None):
 # ---------------------------------------------------------------------------
 
 
-def stationarity_residual(problem: Problem, x, weights) -> float:
+def stationarity_residual(problem: Problem, x, eps=None) -> float:
     """Exact distance from 0 to the objective's subdifferential at ``x``.
 
-    Only available for the absolute-value ``g``.  ``weights`` must hold
-    ``lam * h'(|x_j|)`` evaluated at ``x`` (including the smoothing factors
-    for the lp penalty).  Coordinate-wise the residual is
-    ``grad_j + w_j * sign(x_j)`` on the support and
+    Only available for the absolute-value ``g``.  The weights
+    ``w_j = lam * h'(|x_j|)`` come from the penalty at ``x``; the smoothed
+    lp penalty needs its smoothing factors ``eps``.  Coordinate-wise the
+    residual is ``grad_j + w_j * sign(x_j)`` on the support and
     ``max(|grad_j| - w_j, 0)`` at zeros.
     """
-    if not getattr(problem.penalty, "g_is_abs", False):
+    if problem.penalty.g is not None:
         raise NotImplementedError(
             "stationarity residual is only defined for the absolute-value g"
         )
     x = np.asarray(x, dtype=np.float64).ravel()
-    weights = np.asarray(weights, dtype=np.float64).ravel()
-    if weights.shape != x.shape:
-        raise ValueError("weights must have the same length as x")
+    weights = problem.penalty.weights(x, eps)
     grad = problem.loss.grad(x)
     r = np.where(
         x != 0.0,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,25 @@ class TestNumericalFailure:
         assert len(fields) == 6
         assert fields[0] == "pire-ps" and fields[-1] == "NumericalFailure"
         assert int(fields[1]) > 0
+
+    def test_failed_solve_prints_nan_residual_and_one_stderr_line(self, tmp_path, capsys):
+        # no errstate: a numpy warning anywhere in the solve fails the test
+        cfg = write_config(tmp_path, n=100, q=300, sparsity=5, m=4, seed=0)
+        inst = str(tmp_path / "inst.json")
+        assert main(["generate", "--config", cfg, "--out", inst]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["solve", inst, "--algo", "pire-ps"])
+        assert code == 5
+        captured = capsys.readouterr()
+        fields = captured.out.split()
+        assert len(fields) == 6
+        assert fields[0] == "pire-ps" and int(fields[1]) > 0
+        assert fields[4] == "nan" and fields[5] == "NumericalFailure"
+        assert captured.err == (
+            f"numerical failure: pire-ps stopped after {fields[1]} iterations\n"
+        )
 
     def test_overflowing_lipschitz_estimate_exits_five(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"

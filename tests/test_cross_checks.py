@@ -9,9 +9,10 @@ optimized loop to follow the same trajectory.
 import numpy as np
 import pytest
 
-from bpiree.experiments import build_problem, desk_spec
+from bpiree.experiments import ALGORITHMS, build_problem, desk_spec
 from bpiree.model import (
     BlockPartition,
+    CustomPenalty,
     LeastSquares,
     MatrixLeastSquares,
     Problem,
@@ -20,6 +21,7 @@ from bpiree.model import (
 )
 from bpiree.momentum import MomentumClock, fista_momentum
 from bpiree.solver import (
+    SolveStatus,
     SolverConfig,
     choose_block,
     extrapolation_bound,
@@ -221,3 +223,37 @@ class TestMatrixFlatteningEquivalence:
             assert b1 == b2
             assert F1 == pytest.approx(F2, rel=1e-7)
             np.testing.assert_allclose(x1, x2, rtol=1e-5, atol=1e-6)
+
+
+class TestNonAbsGAgainstRidge:
+    """A penalty with its own ``g`` runs end to end: ``h(t) = t`` and
+    ``g(u) = u^2`` make the objective a ridge regression, whose minimizer
+    ``(A^T A + 2 lam I)^{-1} A^T b`` every solver that accepts the
+    penalty must reach."""
+
+    LAM = 0.3
+
+    @staticmethod
+    def ridge_problem(m, with_subgrad):
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((20, 12))
+        b = rng.standard_normal(20)
+        penalty = CustomPenalty(
+            lam=TestNonAbsGAgainstRidge.LAM,
+            h=lambda t: t,
+            h_prime=lambda t: 1.0,
+            g=lambda u: u * u,
+            g_subgrad=(lambda u: (2 * u, 2 * u)) if with_subgrad else None,
+        )
+        return Problem(LeastSquares(A, b), penalty, BlockPartition.contiguous(12, m))
+
+    @pytest.mark.parametrize("with_subgrad", [True, False])
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("algo", ["bpiree", "pire", "pire-ps", "pire-au"])
+    def test_reaches_the_ridge_solution(self, algo, m, with_subgrad):
+        prob = self.ridge_problem(m, with_subgrad)
+        A, b = prob.loss.A, prob.loss.b
+        x_ridge = np.linalg.solve(A.T @ A + 2 * self.LAM * np.eye(12), A.T @ b)
+        x, _, status = ALGORITHMS[algo](prob, SolverConfig(tol=1e-10), np.zeros(12))
+        assert status is SolveStatus.CONVERGED
+        assert np.linalg.norm(x - x_ridge) <= 1e-7 * np.linalg.norm(x_ridge)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bpiree.experiments import build_problem, desk_spec
-from bpiree.lp import solve_lp, support_monitor
+from bpiree.lp import solve_lp
 from bpiree.model import (
     BlockPartition,
     LeastSquares,
@@ -179,42 +179,41 @@ class TestSolveLp:
         assert np.all(eps[support] <= 0.1**5 * config.eps0)
 
 
-class TestSupportMonitor:
-    def test_constant_throughout(self):
-        signs = [np.array([1, 0, -1])] * 7
-        report = support_monitor(signs, window=5)
-        assert report.fixed
-        assert report.K_observed == 1
-        np.testing.assert_array_equal(report.sign, [1, 0, -1])
+def _terminal_run(history, window):
+    """``(fixed, K_observed)`` of a sign history by a backward scan: the
+    1-based iteration that starts the terminal constant run, and whether
+    that run is at least ``min(window, len(history))`` long."""
+    start = len(history) - 1
+    while start > 0 and np.array_equal(history[start - 1], history[-1]):
+        start -= 1
+    return len(history) - start >= min(window, len(history)), start + 1
 
-    def test_flip_then_constant(self):
-        before = np.array([1, 1])
-        after = np.array([1, -1])
-        signs = [before] * 50 + [after] * 30
-        report = support_monitor(signs, window=10)
-        assert report.fixed
-        assert report.K_observed == 51
 
-    def test_window_not_yet_satisfied(self):
-        before = np.array([1])
-        after = np.array([-1])
-        signs = [before] * 50 + [after] * 5
-        report = support_monitor(signs, window=10)
-        assert not report.fixed
-        assert report.K_observed == 51
-
-    def test_short_constant_history_counts(self):
-        signs = [np.array([1, 1])] * 3
-        assert support_monitor(signs, window=100).fixed
-
-    def test_empty_history(self):
-        report = support_monitor([], window=5)
-        assert not report.fixed
-        assert report.K_observed is None
-
-    def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            support_monitor([np.ones(1)], window=0)
+class TestSupportReport:
+    @pytest.mark.parametrize("window", [1, 5, 100, 10**6])
+    def test_report_matches_a_scan_of_the_signs(self, window):
+        prob, _ = build_problem(desk_spec("matrix_lp", seed=0))
+        config = SolverConfig(momentum="fista", record_trace=True, support_window=window)
+        history = []
+        _, _, trace, status = solve_lp(
+            prob, config, np.zeros(prob.loss.dim),
+            callback=lambda k, x: history.append(np.sign(x)),
+        )
+        assert status is SolveStatus.CONVERGED
+        assert window < len(history) or window == 10**6
+        assert len(history) == len(trace.records) == trace.iterations
+        fixed, K = _terminal_run(history, window)
+        assert (trace.support.fixed, trace.support.K_observed) == (fixed, K)
+        np.testing.assert_array_equal(trace.support.sign, history[-1])
+        # every record reports the sign run up to its own iteration
+        run_start = 1
+        for k, rec in enumerate(trace.records, start=1):
+            if k > 1 and not np.array_equal(history[k - 1], history[k - 2]):
+                run_start = k
+            assert rec.sign_fixed == (k - run_start + 1 >= min(window, k)), k
+        assert any(rec.sign_fixed for rec in trace.records)
+        if 1 < window < len(history):
+            assert not all(rec.sign_fixed for rec in trace.records)
 
 
 class TestLpTrace:

@@ -46,7 +46,57 @@ class TestValidatePartition:
 
     def test_empty_block_rejected(self):
         part = BlockPartition(blocks=(np.array([], dtype=int), [0]), n=1)
-        assert not validate_partition(part).ok
+        report = validate_partition(part)
+        assert not report.ok
+        assert report.message == "block 0 is empty"
+        assert report.index is None
+
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_outside_range_reported(self, bad):
+        part = BlockPartition(blocks=([0, bad], [1]), n=2)
+        report = validate_partition(part)
+        assert not report.ok
+        assert report.message == f"index {bad} outside range 0..1"
+        assert report.index == bad
+
+    def test_no_blocks(self):
+        report = validate_partition(BlockPartition(blocks=(), n=3))
+        assert report == model.PartitionReport(False, "partition has no blocks", None)
+
+    @pytest.mark.parametrize(
+        "blocks,message,index",
+        [
+            # the out-of-range index in block 0 comes before the empty block 1
+            (([0, 7], []), "index 7 outside range 0..1", 7),
+            (([], [0, 7]), "block 0 is empty", None),
+            (([0, 1], [0, 7]), "index 0 duplicated", 0),
+            (([0, 7], [0]), "index 7 outside range 0..1", 7),
+            (([1, 1], [0]), "index 1 duplicated", 1),
+            (([1, 0], [1], []), "index 1 duplicated", 1),
+            (([0], []), "block 1 is empty", None),
+            (([7, 7], [0]), "index 7 outside range 0..1", 7),
+        ],
+    )
+    def test_first_offender_in_block_order(self, blocks, message, index):
+        blocks = tuple(np.array(b, dtype=int) for b in blocks)
+        report = validate_partition(BlockPartition(blocks=blocks, n=2))
+        assert (report.ok, report.message, report.index) == (False, message, index)
+
+    def test_matches_a_loop_over_every_index(self):
+        # seeded random partitions, broken in every way the check reports
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            n = int(rng.integers(1, 8))
+            m = int(rng.integers(1, 5))
+            blocks = tuple(
+                rng.integers(-2, n + 2, size=int(rng.integers(0, 4))) for _ in range(m)
+            )
+            if rng.random() < 0.3:
+                perm = rng.permutation(n)
+                cuts = np.sort(rng.choice(np.arange(1, n + 1), size=m - 1))
+                blocks = tuple(np.split(perm, cuts))
+            part = BlockPartition(blocks=blocks, n=n)
+            assert validate_partition(part) == _loop_validate(part), blocks
 
     def test_contiguous_sizes_differ_by_at_most_one(self):
         part = BlockPartition.contiguous(10, 3)
@@ -54,6 +104,28 @@ class TestValidatePartition:
         assert sum(sizes) == 10
         assert max(sizes) - min(sizes) <= 1
         assert validate_partition(part).ok
+
+
+def _loop_validate(partition):
+    """The partition check written as a loop over every index, block by block."""
+    n = partition.n
+    if partition.m < 1:
+        return model.PartitionReport(False, "partition has no blocks", None)
+    seen = np.zeros(n, dtype=bool)
+    for bi, block in enumerate(partition.blocks):
+        if block.size == 0:
+            return model.PartitionReport(False, f"block {bi} is empty", None)
+        for j in block:
+            j = int(j)
+            if j < 0 or j >= n:
+                return model.PartitionReport(False, f"index {j} outside range 0..{n - 1}", j)
+            if seen[j]:
+                return model.PartitionReport(False, f"index {j} duplicated", j)
+            seen[j] = True
+    if not seen.all():
+        j = int(np.flatnonzero(~seen)[0])
+        return model.PartitionReport(False, f"index {j} uncovered", j)
+    return model.PartitionReport(True)
 
 
 class TestEvalObjective:
@@ -231,6 +303,8 @@ class TestPenalties:
         pen = SmoothedLp(lam=1.0, p=0.5)
         with pytest.raises(ValueError):
             pen.weights(np.array([1.0]), np.array([0.0]))
+        with pytest.raises(ValueError, match="requires smoothing factors"):
+            pen.weights(np.array([1.0]))
 
     def test_custom_penalty_matches_log(self):
         log_pen = LogPenalty(lam=0.7, eps_bar=0.2)

@@ -14,7 +14,6 @@ from bpiree.model import (
     MatrixLeastSquares,
     Problem,
     SmoothedLp,
-    penalty_weights,
 )
 from bpiree.experiments import build_problem, desk_spec
 from bpiree.momentum import MomentumClock, fista_momentum
@@ -413,7 +412,7 @@ class TestSolve:
         prob, _ = build_problem(desk_spec("log_ls", seed=4))
         x, _, status = solve(prob, SolverConfig(momentum="fista"), np.zeros(prob.loss.dim))
         assert status is SolveStatus.CONVERGED
-        res = stationarity_residual(prob, x, penalty_weights(prob.penalty, x))
+        res = stationarity_residual(prob, x)
         grad_norm = np.linalg.norm(prob.loss.grad(x))
         assert res <= 1e-2 * (1 + grad_norm)
 
@@ -457,19 +456,20 @@ class TestSolve:
 
 class TestStationarityResidual:
     def test_zero_at_smooth_minimizer(self):
+        # lam = 0: zero weights
         prob = quadratic_problem(np.eye(2), np.array([1.0, -1.0]))
-        res = stationarity_residual(prob, np.array([1.0, -1.0]), np.zeros(2))
+        res = stationarity_residual(prob, np.array([1.0, -1.0]))
         assert res == 0.0
 
     def test_dead_zone_containment(self):
-        # grad f(0) = 0.3 with threshold 0.5: origin is stationary
-        prob = quadratic_problem(np.eye(1), np.array([-0.3]))
-        assert stationarity_residual(prob, np.zeros(1), np.array([0.5])) == 0.0
+        # grad f(0) = 0.3 with threshold 0.5 / (0 + 1): origin is stationary
+        prob = quadratic_problem(np.eye(1), np.array([-0.3]), lam=0.5, eps_bar=1.0)
+        assert stationarity_residual(prob, np.zeros(1)) == 0.0
 
     def test_support_residual(self):
-        # grad f(1) = 0.2, weight 0.1, x = 1 -> |0.2 + 0.1| = 0.3
-        prob = quadratic_problem(np.eye(1), np.array([0.8]))
-        res = stationarity_residual(prob, np.ones(1), np.array([0.1]))
+        # grad f(1) = 0.2, weight 0.2 / (1 + 1) = 0.1, x = 1 -> |0.2 + 0.1| = 0.3
+        prob = quadratic_problem(np.eye(1), np.array([0.8]), lam=0.2, eps_bar=1.0)
+        res = stationarity_residual(prob, np.ones(1))
         assert res == pytest.approx(0.3, rel=1e-12)
 
     def test_unsupported_penalty(self):
@@ -481,7 +481,7 @@ class TestStationarityResidual:
         )
         prob = Problem(loss, pen, BlockPartition.single(1))
         with pytest.raises(NotImplementedError):
-            stationarity_residual(prob, np.zeros(1), np.zeros(1))
+            stationarity_residual(prob, np.zeros(1))
 
 
 class TestDescentCertificate:
