@@ -42,10 +42,9 @@ slacks = [c.slack for c in trace.certificates]
 print(f"slack range: [{min(slacks):.3e}, {max(slacks):.3e}]")
 
 # --- the admissible momentum bound -----------------------------------------
-print("\nmomentum bound delta*(gamma-1)/(2(gamma+1))*sqrt(L_prev/L_curr):")
+print("\nmomentum bound delta*(gamma-1)/(2(gamma+1)), fixed block curvature:")
 for gamma in (1.5, 2.0, 3.0):
-    print(f"  gamma={gamma}: beta <= {extrapolation_bound(1.0, 1.0, gamma, 0.9):.4f}"
-          "  (equal curvature, delta=0.9)")
+    print(f"  gamma={gamma}: beta <= {extrapolation_bound(gamma, 0.9):.4f}  (delta=0.9)")
 
 # --- essentially cyclic selection ------------------------------------------
 m = 4

@@ -21,7 +21,6 @@ from .model import (
 )
 from .prox import (
     NumericalFailure,
-    ScalarProxProblem,
     block_prox_step,
     prox_scalar_convex,
     prox_weighted_abs,
@@ -33,6 +32,7 @@ from .solver import (
     SolveStatus,
     SolverConfig,
     SolverState,
+    SupportReport,
     Trace,
     TraceRecord,
     bpiree_step,
@@ -43,7 +43,7 @@ from .solver import (
     solve,
     stationarity_residual,
 )
-from .lp import SupportReport, solve_lp
+from .lp import solve_lp
 from .baselines import (
     irl1_solve,
     irl1e1_solve,
@@ -79,7 +79,6 @@ __all__ = [
     "eval_objective",
     "validate_partition",
     "NumericalFailure",
-    "ScalarProxProblem",
     "block_prox_step",
     "prox_scalar_convex",
     "prox_weighted_abs",

@@ -61,7 +61,7 @@ def _accept(state, problem, x_new, r_new, beta):
     if not (math.isfinite(F) and np.isfinite(x_new).all()):
         raise NumericalFailure(f"non-finite result at iteration {k} (F={F!r})")
     step_rel = _norm(x_new - state.x) / max(_norm(state.x), NORM_FLOOR)
-    state.prev_block_values = [state.x]
+    state.x_prev = state.x
     state.x = x_new
     state.residual = r_new
     state.f = f
@@ -81,7 +81,7 @@ def _full_vector_step(state, problem, config, alpha, use_momentum):
         beta = 0.0
     w = penalty.weights(x, state.eps)
     if beta != 0.0:
-        x_hat = x + beta * (x - state.prev_block_values[0])
+        x_hat = x + beta * (x - state.x_prev)
         r_hat = loss.residual(x_hat)
     else:
         x_hat, r_hat = x, state.residual
@@ -121,7 +121,6 @@ def _sweep_step(state, problem, config, alphas, parallel):
 def _run(problem, config, x0, callback, step):
     """Run ``step`` from ``x0`` in the shared loop; one small step stops it."""
     state = _start_state(problem, config, x0)
-    state.prev_block_values = [state.x]
     state, trace, status = _iterate(problem, config, state, step, 1, callback)
     return state.x, trace, status
 

@@ -14,14 +14,16 @@ dimensions.  The env var ``BPIREE_LOG`` in {error, info, debug} controls
 logging.  Output files are written via temp-file-then-rename, so failures
 never leave partial files.
 
-Exit codes: 0 success (solve: converged), 2 malformed config or unknown
-algorithm, 3 I/O failure, 4 solve hit the iteration cap, 5 numerical
-failure.
+Exit codes: 0 success (solve: converged), 2 malformed config, unknown
+algorithm or an algorithm the instance does not support (bpiree-lp on a
+log_ls instance), 3 I/O failure, 4 solve hit the iteration cap, 5
+numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -52,23 +54,8 @@ EXIT_IO = 3
 EXIT_MAX_ITER = 4
 EXIT_NUMERICAL = 5
 
-SPEC_KEYS = {
-    "example",
-    "n",
-    "q",
-    "t",
-    "m",
-    "sparsity",
-    "noise_scale",
-    "conditioning",
-    "seed",
-    "lam",
-    "eps_bar",
-    "p",
-    "mu",
-    "solvers",
-}
-SOLVER_KEYS = {f.name for f in SolverConfig.__dataclass_fields__.values()}
+SPEC_KEYS = {f.name for f in dataclasses.fields(ExperimentSpec)}
+SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 TOP_KEYS = SPEC_KEYS | {"solver", "blob"}
 
 
@@ -197,6 +184,9 @@ def cmd_solve(args) -> int:
         algo_fn = "bpiree-lp"  # the block solver on an lp instance is the lp variant
     else:
         algo_fn = algo
+    if algo_fn == "bpiree-lp" and not problem.smoothed_lp:
+        print(f"{algo} requires an instance with the smoothed lp penalty", file=sys.stderr)
+        return EXIT_CONFIG
     eps_final = None
     if algo_fn == "bpiree-lp":
         x, eps_final, trace, status = solve_lp(problem, solver_config, np.zeros(problem.loss.dim))

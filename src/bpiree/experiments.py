@@ -122,6 +122,8 @@ class ExperimentSpec:
         ]
         if not self.solvers:
             self.solvers = [SolverEntry(algo=a) for a in DEFAULT_SOLVERS[self.example]]
+        if self.example != "matrix_lp" and any(e.algo == "bpiree-lp" for e in self.solvers):
+            raise ValueError("bpiree-lp requires example 'matrix_lp'")
         labels = [e.label for e in self.solvers]
         if len(set(labels)) != len(labels):
             raise ValueError("solver labels must be unique; set 'label' per entry")

@@ -10,13 +10,8 @@ sign pattern of the iterate stops changing, which the run's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
-
 from .model import Problem, SmoothedLp
-from .solver import SolverConfig, solve_state
+from .solver import SolverConfig, SupportReport, solve_state
 
 __all__ = [
     "solve_lp",
@@ -35,14 +30,3 @@ def solve_lp(problem: Problem, config: SolverConfig, x0, callback=None):
         raise ValueError("solve_lp requires a SmoothedLp penalty")
     state, trace, status = solve_state(problem, config, x0, callback=callback)
     return state.x, state.eps, trace, status
-
-
-@dataclass(frozen=True)
-class SupportReport:
-    """Sign pattern at the end of a run: ``fixed`` when it held for the last
-    ``min(support_window, k)`` of ``k`` iterations, ``K_observed`` the 1-based
-    iteration that started it (None for a run without iterations)."""
-
-    fixed: bool
-    K_observed: Optional[int]
-    sign: Optional[np.ndarray]

@@ -11,14 +11,13 @@ found by bisection on the monotone optimality map ``x - v + tau * dg(x)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "NumericalFailure",
-    "ScalarProxProblem",
     "abs_subgrad",
     "prox_weighted_abs",
     "prox_scalar_convex",
@@ -65,34 +64,20 @@ def _numeric_subgrad(g: Callable[[float], float], x: float, h: float = 1e-7):
     return lo - pad, hi + pad
 
 
-@dataclass(frozen=True)
-class ScalarProxProblem:
-    """One coordinate-wise prox instance.
-
-    ``g`` must be closed, convex and nonnegative; ``g_subgrad(x)`` returns
-    its subgradient interval ``(lo, hi)`` (finite-difference fallback when
-    omitted).  Defaults to the absolute value.
-    """
-
-    v: float
-    tau: float
-    g: Optional[Callable[[float], float]] = None
-    g_subgrad: Optional[Callable[[float], Tuple[float, float]]] = None
-
-    def subgrad(self, x: float) -> Tuple[float, float]:
-        if self.g is None:
-            return abs_subgrad(x)
-        if self.g_subgrad is not None:
-            return self.g_subgrad(x)
-        return _numeric_subgrad(self.g, x)
-
-
-def prox_scalar_convex(problem: ScalarProxProblem, tol: float = 1e-10) -> float:
+def prox_scalar_convex(
+    v: float,
+    tau: float,
+    g: Optional[Callable[[float], float]] = None,
+    g_subgrad: Optional[Callable[[float], Tuple[float, float]]] = None,
+    tol: float = 1e-10,
+) -> float:
     """Minimize ``tau*g(x) + 0.5*(x - v)^2`` by bisection.
 
-    Works for any convex ``g`` with a computable subgradient interval, in
-    particular at kinks where Newton steps are unusable.  Returns a point
-    within ``tol`` of the unique minimizer.
+    ``g`` must be closed, convex and nonnegative (the absolute value when
+    None); ``g_subgrad(x)`` returns its subgradient interval ``(lo, hi)``
+    (finite-difference fallback when omitted).  Works at kinks, where
+    Newton steps are unusable.  Returns a point within ``tol`` of the
+    unique minimizer.
 
     Raises
     ------
@@ -101,8 +86,8 @@ def prox_scalar_convex(problem: ScalarProxProblem, tol: float = 1e-10) -> float:
     NumericalFailure
         If geometric bracket expansion fails after 64 doublings.
     """
-    v = float(problem.v)
-    tau = float(problem.tau)
+    v = float(v)
+    tau = float(tau)
     if not (np.isfinite(v) and np.isfinite(tau)):
         raise ValueError("prox_scalar_convex requires finite inputs")
     if tau < 0:
@@ -112,7 +97,12 @@ def prox_scalar_convex(problem: ScalarProxProblem, tol: float = 1e-10) -> float:
     if tau == 0:
         return v
 
-    subgrad = problem.subgrad
+    if g is None:
+        subgrad = abs_subgrad
+    elif g_subgrad is not None:
+        subgrad = g_subgrad
+    else:
+        subgrad = functools.partial(_numeric_subgrad, g)
 
     # psi(x) = x - v + tau*dg(x) is strongly monotone; 0 in psi(x*) at the
     # unique minimizer.  Bracket with a bound G on |dg| near v and 0.
@@ -177,11 +167,4 @@ def block_prox_step(
     tau = alpha * weights
     if g is None:
         return prox_weighted_abs(v, tau)
-    return np.array(
-        [
-            prox_scalar_convex(
-                ScalarProxProblem(float(vj), float(tj), g, g_subgrad), tol=tol
-            )
-            for vj, tj in zip(v, tau)
-        ]
-    )
+    return np.array([prox_scalar_convex(vj, tj, g, g_subgrad, tol) for vj, tj in zip(v, tau)])

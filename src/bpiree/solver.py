@@ -31,6 +31,7 @@ __all__ = [
     "SolveStatus",
     "SolverConfig",
     "SolverState",
+    "SupportReport",
     "TraceRecord",
     "LpTraceRecord",
     "CertificateRecord",
@@ -156,6 +157,17 @@ class CertificateRecord:
     slack: float
 
 
+@dataclass(frozen=True)
+class SupportReport:
+    """Sign pattern at the end of a run: ``fixed`` when it held for the last
+    ``min(support_window, k)`` of ``k`` iterations, ``K_observed`` the 1-based
+    iteration that started it (None for a run without iterations)."""
+
+    fixed: bool
+    K_observed: Optional[int]
+    sign: Optional[np.ndarray]
+
+
 @dataclass
 class Trace:
     """Everything a run reports besides the final iterate."""
@@ -164,7 +176,7 @@ class Trace:
     certificates: List[CertificateRecord] = field(default_factory=list)
     iterations: int = 0
     final_step_rel: float = math.nan
-    support: Optional[object] = None  # SupportReport for lp runs
+    support: Optional[SupportReport] = None  # smoothed-lp runs only
 
 
 @dataclass
@@ -179,22 +191,19 @@ class _StepInfo:
     step_norm: float = math.nan
     prev_step_norm: float = math.nan
     L_curr: Optional[float] = None
-    L_prev: float = math.nan
-    F_prev: float = math.nan
-    F_next: float = math.nan
 
 
 @dataclass
 class SolverState:
     """Mutable iteration state.
 
-    ``prev_block_values[i]`` holds the value of block ``i`` before its last
-    update (the extrapolation anchor; the baselines keep the whole previous
-    iterate there), ``update_counts`` the number of times each block has
-    been updated (their sum equals ``k``).  ``eps`` is present only for the
-    smoothed-lp penalty.  On smoothed-lp problems the block solver also
-    tracks ``sign``, the sign pattern of ``x``, and ``sign_run_start``, the
-    iteration it last changed.
+    ``x_prev`` is the extrapolation anchor: on each block the value before
+    the block's last update (the baselines keep the whole previous iterate
+    there).  ``update_counts`` counts the updates of each block (their sum
+    equals ``k``) and ``last_block_L`` holds the blocks' fixed curvature
+    constants.  ``eps`` is present only for the smoothed-lp penalty.  On
+    smoothed-lp problems the block solver also tracks ``sign``, the sign
+    pattern of ``x``, and ``sign_run_start``, the iteration it last changed.
 
     The step reuses values it computed before instead of evaluating them
     again.  These caches hold between steps:
@@ -212,7 +221,7 @@ class SolverState:
 
     x: np.ndarray
     F_current: float
-    prev_block_values: List[np.ndarray] = field(default_factory=list)
+    x_prev: Optional[np.ndarray] = None
     update_counts: Optional[np.ndarray] = None
     last_block_L: Optional[np.ndarray] = None
     k: int = 0
@@ -258,26 +267,25 @@ def choose_block(schedule: str, k: int, m: int, seed: int = 0) -> int:
     raise ValueError(f"unknown schedule {schedule!r}")
 
 
-def extrapolation_bound(L_prev: float, L_curr: float, gamma: float, delta: float) -> float:
+def extrapolation_bound(gamma: float, delta: float) -> float:
     """Largest admissible momentum for the descent estimate at divisor gamma.
 
-    Equals ``delta * (gamma-1) / (2*(gamma+1)) * sqrt(L_prev / L_curr)``;
-    with ``gamma = 2`` the coefficient is ``delta / 6``.
+    Equals ``delta * (gamma-1) / (2*(gamma+1))``; with ``gamma = 2`` that is
+    ``delta / 6``.  The general bound carries a factor
+    ``sqrt(L_prev / L_curr)``, which is 1 here: every loss is least
+    squares, so a block's curvature constant never changes.
     """
-    if L_prev <= 0 or L_curr <= 0:
-        raise ValueError("curvature constants must be positive")
     if not gamma > 1.0:
         raise ValueError("gamma must exceed 1")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    return delta * (gamma - 1.0) / (2.0 * (gamma + 1.0)) * math.sqrt(L_prev / L_curr)
+    return delta * (gamma - 1.0) / (2.0 * (gamma + 1.0))
 
 
 def descent_certificate(
     F_prev: float,
     F_next: float,
     L_curr: float,
-    L_prev: float,
     beta: float,
     step_norm: float,
     prev_step_norm: float,
@@ -307,8 +315,9 @@ def descent_certificate(
 
 def _start_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
     """Check ``config`` and ``x0`` and build the state every algorithm starts
-    from: a copy of ``x0``, ``eps = eps0`` on smoothed-lp problems, the
-    residual, the objective and a fresh momentum clock."""
+    from: a copy of ``x0`` (another as the extrapolation anchor), ``eps =
+    eps0`` on smoothed-lp problems, the residual, the objective and a fresh
+    momentum clock."""
     config.validate()
     x0 = np.asarray(x0, dtype=np.float64).ravel().copy()
     if x0.shape[0] != problem.loss.dim:
@@ -322,6 +331,7 @@ def _start_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
     f = problem.loss.value_from_residual(residual)
     return SolverState(
         x=x0,
+        x_prev=x0.copy(),
         # the sum eval_objective forms, without evaluating the residual again
         F_current=f + problem.penalty.value(x0, eps),
         eps=eps,
@@ -336,7 +346,6 @@ def init_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
     state = _start_state(problem, config, x0)
     x, eps = state.x, state.eps
     blocks = problem.partition.index
-    state.prev_block_values = [x[b].copy() for b in blocks]
     state.update_counts = np.zeros(problem.partition.m, dtype=np.int64)
     state.last_block_L = np.array([plan.lipschitz for plan in problem.block_plans])
     state.block_pen = [
@@ -367,23 +376,17 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
     plan = problem.block_plans[b]
 
     L_curr = plan.lipschitz
-    L_prev = float(state.last_block_L[b])
     alpha = 1.0 / (config.gamma * L_curr)
 
+    # Every momentum value lies in [0, 1): the FISTA value is
+    # (t - 1)/t_next and the bound is below 1/2.
+    beta = 0.0
     if config.momentum in ("fista", "fista_capped"):
-        beta_sched, state.clock = fista_momentum(state.clock)
-    else:
-        beta_sched = 0.0
-    bound = extrapolation_bound(L_prev, L_curr, config.gamma, config.delta)
+        beta, state.clock = fista_momentum(state.clock)
     if config.momentum == "fista_capped":
-        beta = min(beta_sched, bound)
-    elif config.momentum == "fista":
-        beta = beta_sched
+        beta = min(beta, extrapolation_bound(config.gamma, config.delta))
     elif config.momentum == "bound":
-        beta = bound
-    else:
-        beta = 0.0
-    beta = min(beta, 1.0)  # extrapolation range is [0, 1]
+        beta = extrapolation_bound(config.gamma, config.delta)
     # No usable two-point history for a block's first two updates.
     if state.update_counts[b] < 2:
         beta = 0.0
@@ -391,7 +394,7 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
     # x_block and eps_block are views for a slice index: read them before
     # the block is written back below.
     x_block = state.x[idx]
-    prev_diff = x_block - state.prev_block_values[b]
+    prev_diff = x_block - state.x_prev[idx]
     prev_step_norm = _norm(prev_diff)
     eps_block = state.eps[idx] if state.eps is not None else None
     w_block = penalty.weights(x_block, eps_block)
@@ -411,12 +414,11 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
         pen_block = penalty.value(new_block, eps_block)
         return new_block, r_new, f_new, pen_block, f_new + pen_others + pen_block
 
-    F_prev = state.F_current
     new_block, r_new, f_new, pen_block, F_new = attempt(beta)
     retried = False
     # Safeguard: an increase (or a non-finite value) from an extrapolated
     # step is redone once with zero momentum and accepted.
-    if config.safeguard and beta > 0.0 and not F_new <= F_prev:
+    if config.safeguard and beta > 0.0 and not F_new <= state.F_current:
         beta = 0.0
         new_block, r_new, f_new, pen_block, F_new = attempt(beta)
         retried = True
@@ -431,12 +433,11 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
     denom = max(_norm(state.x), NORM_FLOOR)
     step_rel = step_norm / denom
 
-    state.prev_block_values[b] = x_block.copy()
+    state.x_prev[idx] = x_block
     state.x[idx] = new_block
     state.residual = r_new
     state.f = f_new
     state.update_counts[b] += 1
-    state.last_block_L[b] = L_curr
     state.k = k
 
     if eps_block is not None:
@@ -465,9 +466,6 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
         step_norm=step_norm,
         prev_step_norm=prev_step_norm,
         L_curr=L_curr,
-        L_prev=L_prev,
-        F_prev=F_prev,
-        F_next=F_new,
     )
     return state
 
@@ -521,6 +519,7 @@ def _iterate(problem, config, state, step, window, callback=None):
     small_steps = 0
     for _ in range(config.max_iter):
         t0 = time.perf_counter_ns() if config.record_trace else 0
+        F_prev = state.F_current
         try:
             step(state, problem, config)
         except NumericalFailure as exc:
@@ -534,7 +533,7 @@ def _iterate(problem, config, state, step, window, callback=None):
             )
         if config.check_descent and info.L_curr is not None:
             cert = descent_certificate(
-                info.F_prev, info.F_next, info.L_curr, info.L_prev,
+                F_prev, state.F_current, info.L_curr,
                 info.beta_used, info.step_norm, info.prev_step_norm, config.gamma,
             )
             cert.k = state.k
@@ -554,8 +553,6 @@ def _iterate(problem, config, state, step, window, callback=None):
             small_steps = 0
     trace.iterations = state.k
     if state.sign is not None:
-        from .lp import SupportReport  # local import avoids a cycle
-
         trace.support = SupportReport(
             fixed=_sign_fixed(state, config.support_window),
             K_observed=state.sign_run_start if state.k > 0 else None,

@@ -23,7 +23,7 @@ from bpiree.model import (
     MatrixLeastSquares,
     SmoothedLp,
 )
-from bpiree.prox import ScalarProxProblem, prox_scalar_convex, prox_weighted_abs
+from bpiree.prox import prox_scalar_convex, prox_weighted_abs
 from bpiree.solver import (
     SolveStatus,
     SolverConfig,
@@ -102,9 +102,7 @@ def test_criterion_1_prox_oracle_equivalence():
 
     worst_bisect = 0.0
     for i in range(n_pairs):
-        x_gen = prox_scalar_convex(
-            ScalarProxProblem(float(v[i]), float(tau[i])), tol=1e-8
-        )
+        x_gen = prox_scalar_convex(float(v[i]), float(tau[i]), tol=1e-8)
         worst_bisect = max(worst_bisect, abs(x_gen - closed[i]))
 
     elapsed = time.perf_counter() - t_start

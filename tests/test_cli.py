@@ -138,6 +138,36 @@ class TestSolve:
         assert main(["solve", inst, "--config", str(cfg), "--algo", "bpiree-lp"]) == 0
 
 
+class TestLpOnlyAlgorithmOnLogInstance:
+    """bpiree-lp needs the smoothed lp penalty: on a log_ls instance both
+    commands stop with a config error before any solve."""
+
+    def test_solve_exits_two(self, tmp_path, capsys):
+        inst = str(tmp_path / "inst.json")
+        assert main(["generate", "--config", write_config(tmp_path), "--out", inst]) == 0
+        capsys.readouterr()
+        trace = tmp_path / "trace.csv"
+        code = main(["solve", inst, "--algo", "bpiree-lp", "--trace", str(trace)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert "bpiree-lp" in captured.err
+        assert not trace.exists()
+
+    def test_compare_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        solvers = '[{"algo":"bpiree-lp"},{"algo":"irl1"}]'
+        code = main(["compare", "--config", write_config(tmp_path),
+                     "--set", f"solvers={solvers}", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.err.startswith("config error:") and "bpiree-lp" in captured.err
+        assert not out.exists()
+
+
 class TestNumericalFailure:
     def test_diverging_baseline_exits_five(self, tmp_path, capsys):
         cfg = write_config(tmp_path, n=100, q=300, sparsity=5, m=4, seed=0)

@@ -6,6 +6,8 @@ none of the solver's incremental-residual bookkeeping, and require the
 optimized loop to follow the same trajectory.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from bpiree.model import (
     BlockPartition,
     CustomPenalty,
     LeastSquares,
+    LogPenalty,
     MatrixLeastSquares,
     Problem,
     SmoothedLp,
@@ -52,7 +55,7 @@ def reference_trajectory(problem, config, x0, iters):
             beta_sched, clock = fista_momentum(clock)
         else:
             beta_sched = 0.0
-        bound = extrapolation_bound(last_L[b], L[b], config.gamma, config.delta)
+        bound = extrapolation_bound(config.gamma, config.delta) * math.sqrt(last_L[b] / L[b])
         beta = {
             "fista_capped": min(beta_sched, bound),
             "fista": beta_sched,
@@ -257,3 +260,38 @@ class TestNonAbsGAgainstRidge:
         x, _, status = ALGORITHMS[algo](prob, SolverConfig(tol=1e-10), np.zeros(12))
         assert status is SolveStatus.CONVERGED
         assert np.linalg.norm(x - x_ridge) <= 1e-7 * np.linalg.norm(x_ridge)
+
+
+class TestLogLsScaleInvariance:
+    """Scaling ``b`` and ``eps_bar`` by ``c`` and ``lam`` by ``c^2`` scales
+    the weights, the gradient and so every iterate by ``c``: the scaled run
+    takes the same steps, to rounding."""
+
+    CASES = [(seed, m) for seed in (0, 13, 17) for m in (1, 4)]
+
+    @staticmethod
+    def _solve(problem):
+        config = SolverConfig(momentum="fista")
+        return ALGORITHMS["bpiree"](problem, config, np.zeros(problem.loss.dim))
+
+    @pytest.fixture(scope="class")
+    def unscaled(self):
+        runs = {}
+        for seed, m in self.CASES:
+            prob, _ = build_problem(desk_spec("log_ls", seed=seed, m=m))
+            runs[seed, m] = prob, self._solve(prob)
+        return runs
+
+    @pytest.mark.parametrize("c", [0.25, 3.0, 4.0])
+    def test_solution_scales_with_the_data(self, unscaled, c):
+        for (seed, m), (prob, (x, trace, status)) in unscaled.items():
+            pen = prob.penalty
+            scaled = Problem(
+                LeastSquares(prob.loss.A, c * prob.loss.b),
+                LogPenalty(lam=c * c * pen.lam, eps_bar=c * pen.eps_bar),
+                prob.partition,
+            )
+            x_c, trace_c, status_c = self._solve(scaled)
+            assert (trace_c.iterations, status_c) == (trace.iterations, status), (seed, m)
+            err = np.linalg.norm(x_c - c * x) / np.linalg.norm(c * x)
+            assert err <= 1e-12, (seed, m, err)

@@ -132,6 +132,12 @@ class TestSpecValidation:
                 solvers=[{"algo": "bpiree"}, {"algo": "bpiree"}],
             )
 
+    def test_lp_solver_needs_the_matrix_example(self):
+        with pytest.raises(ValueError, match="bpiree-lp"):
+            desk_spec("log_ls", solvers=[{"algo": "bpiree-lp"}, {"algo": "irl1"}])
+        spec = desk_spec("matrix_lp", solvers=[{"algo": "bpiree-lp"}])
+        assert [e.algo for e in spec.solvers] == ["bpiree-lp"]
+
     def test_same_algo_distinct_labels_allowed(self):
         spec = ExperimentSpec(
             example="log_ls", n=10, q=20, sparsity=2,

@@ -216,6 +216,13 @@ class TestSupportReport:
             assert not all(rec.sign_fixed for rec in trace.records)
 
 
+    def test_one_class_under_every_name(self):
+        import bpiree
+        from bpiree import lp, solver
+
+        assert lp.SupportReport is solver.SupportReport is bpiree.SupportReport
+
+
 class TestLpTrace:
     def test_trace_columns_present(self):
         prob, _ = build_problem(desk_spec("matrix_lp", seed=7))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bpiree.prox import (
     NumericalFailure,
-    ScalarProxProblem,
     abs_subgrad,
     block_prox_step,
     prox_scalar_convex,
@@ -84,46 +83,43 @@ class TestProxWeightedAbs:
 
 class TestProxScalarConvex:
     def test_matches_soft_threshold(self):
-        x = prox_scalar_convex(ScalarProxProblem(v=3.0, tau=1.0), tol=1e-8)
+        x = prox_scalar_convex(3.0, 1.0, tol=1e-8)
         assert x == pytest.approx(2.0, abs=1e-8)
 
     def test_quadratic_g(self):
         # argmin x^2 + 0.5 (x-4)^2: stationarity 2x + x - 4 = 0 -> x = 4/3
-        prob = ScalarProxProblem(
-            v=4.0, tau=1.0, g=lambda x: x * x, g_subgrad=lambda x: (2 * x, 2 * x)
+        x = prox_scalar_convex(
+            4.0, 1.0, g=lambda x: x * x, g_subgrad=lambda x: (2 * x, 2 * x), tol=1e-8
         )
-        assert prox_scalar_convex(prob, tol=1e-8) == pytest.approx(4.0 / 3.0, abs=1e-8)
+        assert x == pytest.approx(4.0 / 3.0, abs=1e-8)
 
     def test_symmetry_forces_zero(self):
-        assert prox_scalar_convex(ScalarProxProblem(v=0.0, tau=5.0)) == pytest.approx(
-            0.0, abs=1e-10
-        )
+        assert prox_scalar_convex(0.0, 5.0) == pytest.approx(0.0, abs=1e-10)
 
     def test_numeric_subgradient_fallback(self):
-        prob = ScalarProxProblem(v=4.0, tau=1.0, g=lambda x: x * x)
-        assert prox_scalar_convex(prob, tol=1e-7) == pytest.approx(4.0 / 3.0, abs=1e-6)
+        x = prox_scalar_convex(4.0, 1.0, g=lambda x: x * x, tol=1e-7)
+        assert x == pytest.approx(4.0 / 3.0, abs=1e-6)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            prox_scalar_convex(ScalarProxProblem(v=1.0, tau=-1.0))
+            prox_scalar_convex(1.0, -1.0)
         with pytest.raises(ValueError):
-            prox_scalar_convex(ScalarProxProblem(v=1.0, tau=1.0), tol=0.0)
+            prox_scalar_convex(1.0, 1.0, tol=0.0)
         with pytest.raises(ValueError):
-            prox_scalar_convex(ScalarProxProblem(v=np.nan, tau=1.0))
+            prox_scalar_convex(np.nan, 1.0)
 
     def test_unbracketable_subgradient_fails(self):
         # a "subgradient" oracle that always reports a huge positive slope
         # can never bracket; the expansion must give up cleanly
-        prob = ScalarProxProblem(
-            v=1.0, tau=1.0, g=lambda x: abs(x), g_subgrad=lambda x: (np.inf, np.inf)
-        )
         with pytest.raises(NumericalFailure):
-            prox_scalar_convex(prob)
+            prox_scalar_convex(
+                1.0, 1.0, g=lambda x: abs(x), g_subgrad=lambda x: (np.inf, np.inf)
+            )
 
     @given(v=st.floats(-30, 30), tau=st.floats(0, 10))
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_closed_form(self, v, tau):
-        x = prox_scalar_convex(ScalarProxProblem(v=v, tau=tau), tol=1e-10)
+        x = prox_scalar_convex(v, tau, tol=1e-10)
         assert x == pytest.approx(prox_weighted_abs(v, tau), abs=1e-9)
 
     def test_optimality_certificate(self):
@@ -135,7 +131,7 @@ class TestProxScalarConvex:
             v = rng.uniform(-10, 10)
             tau = rng.uniform(0, 5)
             tol = 1e-10
-            x = prox_scalar_convex(ScalarProxProblem(v=v, tau=tau), tol=tol)
+            x = prox_scalar_convex(v, tau, tol=tol)
             delta = 2 * tol + 1e-12
             lo, _ = abs_subgrad(x - delta)
             _, hi = abs_subgrad(x + delta)

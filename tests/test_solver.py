@@ -75,22 +75,17 @@ class TestChooseBlock:
 
 class TestExtrapolationBound:
     def test_default_gamma_coefficient(self):
-        assert extrapolation_bound(1.0, 1.0, 2.0, 0.9) == pytest.approx(0.15)
-
-    def test_curvature_ratio(self):
-        assert extrapolation_bound(4.0, 1.0, 2.0, 0.6) == pytest.approx(0.2)
+        assert extrapolation_bound(2.0, 0.9) == pytest.approx(0.15)
 
     def test_gamma_three(self):
         for delta in (0.1, 0.5, 0.99):
-            assert extrapolation_bound(1.0, 1.0, 3.0, delta) == pytest.approx(delta / 4)
+            assert extrapolation_bound(3.0, delta) == pytest.approx(delta / 4)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            extrapolation_bound(0.0, 1.0, 2.0, 0.5)
+            extrapolation_bound(1.0, 0.5)
         with pytest.raises(ValueError):
-            extrapolation_bound(1.0, 1.0, 1.0, 0.5)
-        with pytest.raises(ValueError):
-            extrapolation_bound(1.0, 1.0, 2.0, 1.0)
+            extrapolation_bound(2.0, 1.0)
 
 
 class TestBpireeStep:
@@ -116,17 +111,22 @@ class TestBpireeStep:
         bpiree_step(state, prob, config)
         np.testing.assert_allclose(state.x, expected, rtol=1e-12)
 
-    def test_safeguard_retries_on_increase(self):
-        # 2-d quadratic; previous block value planted so that beta = 1
-        # overshoots the stiff direction and raises F
-        A = np.diag([2.0, 0.1])
-        prob = quadratic_problem(A, np.array([0.0, 0.0]))
-        config = SolverConfig(momentum="bound", delta=0.9, safeguard=True)
+    @staticmethod
+    def _overshooting_state(prob, config):
+        # FISTA clock far along its sequence (beta ~ 1) and a previous block
+        # value planted so that the extrapolation overshoots the stiff
+        # direction and raises F
         state = init_state(prob, config, np.array([1.0, 1.0]))
         state.update_counts[0] = 2  # pretend two updates already happened
-        state.prev_block_values[0] = np.array([-1.0, 1.0])
-        L_curr = state.last_block_L[0]
-        state.last_block_L[0] = L_curr * (6.0 / config.delta) ** 2  # bound -> 1
+        state.clock = MomentumClock(1e6, 1e6, 1, config.fista_restart_N)
+        state.x_prev[:] = [-1.0, 1.0]
+        return state
+
+    def test_safeguard_retries_on_increase(self):
+        A = np.diag([2.0, 0.1])
+        prob = quadratic_problem(A, np.array([0.0, 0.0]))
+        config = SolverConfig(momentum="fista", safeguard=True)
+        state = self._overshooting_state(prob, config)
         F_prev = state.F_current
         bpiree_step(state, prob, config)
         assert state.last_step.retried
@@ -136,11 +136,8 @@ class TestBpireeStep:
     def test_safeguard_off_accepts_increase(self):
         A = np.diag([2.0, 0.1])
         prob = quadratic_problem(A, np.array([0.0, 0.0]))
-        config = SolverConfig(momentum="bound", delta=0.9, safeguard=False)
-        state = init_state(prob, config, np.array([1.0, 1.0]))
-        state.update_counts[0] = 2
-        state.prev_block_values[0] = np.array([-1.0, 1.0])
-        state.last_block_L[0] = state.last_block_L[0] * (6.0 / config.delta) ** 2
+        config = SolverConfig(momentum="fista", safeguard=False)
+        state = self._overshooting_state(prob, config)
         F_prev = state.F_current
         bpiree_step(state, prob, config)
         assert not state.last_step.retried
@@ -219,7 +216,7 @@ def _reference_step(ref, problem, config):
     beta = 0.0
     if config.momentum in ("fista", "fista_capped"):
         beta, ref.clock = fista_momentum(ref.clock)
-    bound = extrapolation_bound(float(ref.last_L[b]), L_curr, config.gamma, config.delta)
+    bound = extrapolation_bound(config.gamma, config.delta) * math.sqrt(ref.last_L[b] / L_curr)
     if config.momentum == "fista_capped":
         beta = min(beta, bound)
     elif config.momentum == "bound":
@@ -454,6 +451,40 @@ class TestSolve:
         assert trace.records[-1].residual <= 1e-2
 
 
+class TestTraceMomentum:
+    """The ``beta_used`` column of a trace respects the constant bound."""
+
+    RUNS = {
+        "log_ls-m4-shuffled": (
+            dict(example="log_ls", m=4), dict(schedule="shuffled", seed=0)
+        ),
+        "matrix_lp-m5": (dict(example="matrix_lp"), {}),
+    }
+
+    @staticmethod
+    def _betas(run, momentum):
+        spec, extra = TestTraceMomentum.RUNS[run]
+        prob, _ = build_problem(desk_spec(seed=0, **spec))
+        config = SolverConfig(momentum=momentum, record_trace=True, **extra)
+        _, trace, status = solve(prob, config, np.zeros(prob.loss.dim))
+        assert status is SolveStatus.CONVERGED
+        return np.array([rec.beta_used for rec in trace.records]), config
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_bound_mode_uses_zero_or_the_bound(self, run):
+        betas, config = self._betas(run, "bound")
+        bound = extrapolation_bound(config.gamma, config.delta)
+        assert np.all((betas == 0.0) | (betas == bound))
+        assert np.any(betas == bound)
+
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_capped_mode_stays_below_the_bound(self, run):
+        betas, config = self._betas(run, "fista_capped")
+        bound = extrapolation_bound(config.gamma, config.delta)
+        assert np.all(betas <= bound)
+        assert np.any(betas > 0.0)
+
+
 class TestStationarityResidual:
     def test_zero_at_smooth_minimizer(self):
         # lam = 0: zero weights
@@ -493,25 +524,25 @@ class TestDescentCertificate:
         bpiree_step(state, prob, config)
         info = state.last_step
         cert = descent_certificate(
-            F_prev, state.F_current, info.L_curr, info.L_prev,
+            F_prev, state.F_current, info.L_curr,
             0.0, info.step_norm, info.prev_step_norm, config.gamma,
         )
         assert cert.holds
         assert cert.slack >= -1e-9 * (1 + abs(F_prev))
 
     def test_no_step_zero_momentum(self):
-        cert = descent_certificate(5.0, 4.0, 1.0, 1.0, 0.0, 0.0, 0.0, 2.0)
+        cert = descent_certificate(5.0, 4.0, 1.0, 0.0, 0.0, 0.0, 2.0)
         assert cert.holds
         assert cert.slack == pytest.approx(1.0)
 
     def test_violation_detected(self):
         # objective went UP with zero momentum: the estimate cannot hold
-        cert = descent_certificate(1.0, 2.0, 1.0, 1.0, 0.0, 1.0, 0.0, 2.0)
+        cert = descent_certificate(1.0, 2.0, 1.0, 0.0, 1.0, 0.0, 2.0)
         assert not cert.holds
 
     def test_gamma_constants(self):
         # at gamma = 2 the constants are 1/4 and 9: slack = dF - (L/4)s^2 + 9 L b^2 p^2
-        cert = descent_certificate(3.0, 1.0, 2.0, 2.0, 0.5, 1.0, 1.0, 2.0)
+        cert = descent_certificate(3.0, 1.0, 2.0, 0.5, 1.0, 1.0, 2.0)
         expected = (3.0 - 1.0) - (0.25 * 2.0 * 1.0 - 9.0 * 2.0 * 0.25 * 1.0)
         assert cert.slack == pytest.approx(expected)
 
