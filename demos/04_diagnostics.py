@@ -8,6 +8,7 @@ demonstrates the essentially-cyclic block selection property.
 """
 
 import collections
+import os
 import tempfile
 
 import numpy as np
@@ -57,11 +58,11 @@ print(f"every window of {window} consecutive picks covers all {m} blocks: "
       f"{all(set(picks[s:s + window]) == set(range(m)) for s in range(len(picks) - window + 1))}")
 
 # --- trace export -----------------------------------------------------------
-with tempfile.NamedTemporaryFile(suffix=".csv", delete=False, mode="w") as f:
-    path = f.name
-write_trace_csv(path, trace, algo="bpiree")
-with open(path) as f:
-    lines = f.read().splitlines()
-print(f"\ntrace CSV written to {path}: {len(lines) - 1} rows")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "trace.csv")
+    write_trace_csv(path, trace, algo="bpiree")
+    with open(path) as f:
+        lines = f.read().splitlines()
+print(f"\ntrace CSV (written to a temporary directory): {len(lines) - 1} rows")
 print("header:", lines[0])
 print("first row:", lines[1])

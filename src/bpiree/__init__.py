@@ -25,7 +25,7 @@ from .prox import (
     prox_scalar_convex,
     prox_weighted_abs,
 )
-from .momentum import MomentumClock, fista_momentum
+from .momentum import fista_momentum
 from .solver import (
     CertificateRecord,
     LpTraceRecord,
@@ -82,7 +82,6 @@ __all__ = [
     "block_prox_step",
     "prox_scalar_convex",
     "prox_weighted_abs",
-    "MomentumClock",
     "fista_momentum",
     "CertificateRecord",
     "LpTraceRecord",

@@ -53,8 +53,9 @@ FULL_VECTOR_BLOCK = -1
 
 
 def _accept(state, problem, x_new, r_new, beta):
-    """Commit the move to ``x_new`` (residual ``r_new``), or raise
-    :class:`NumericalFailure` if the objective or the iterate is not finite."""
+    """Commit the move to ``x_new`` (residual ``r_new``) and return the
+    step's ``_StepInfo``, or raise :class:`NumericalFailure` if the
+    objective or the iterate is not finite."""
     f = problem.loss.value_from_residual(r_new)
     F = f + problem.penalty.value(x_new, state.eps)
     k = state.k + 1
@@ -67,7 +68,7 @@ def _accept(state, problem, x_new, r_new, beta):
     state.f = f
     state.F_current = F
     state.k = k
-    state.last_step = _StepInfo(
+    return _StepInfo(
         block=FULL_VECTOR_BLOCK, beta_used=beta, retried=False, step_rel=step_rel
     )
 
@@ -76,7 +77,8 @@ def _full_vector_step(state, problem, config, alpha, use_momentum):
     """pire / irl1 / irl1e1: one proximal step on the whole vector."""
     loss, penalty, x = problem.loss, problem.penalty, state.x
     if use_momentum:
-        beta, state.clock = fista_momentum(state.clock)
+        # iteration k = state.k + 1 sits at (k - 1) mod N in its restart period
+        beta, state.t = fista_momentum(state.t, state.k % config.fista_restart_N)
     else:
         beta = 0.0
     w = penalty.weights(x, state.eps)
@@ -87,7 +89,7 @@ def _full_vector_step(state, problem, config, alpha, use_momentum):
         x_hat, r_hat = x, state.residual
     grad = loss.grad_from_residual(r_hat)
     x_new = block_prox_step(x_hat, grad, alpha, w, g=penalty.g, g_subgrad=penalty.g_subgrad)
-    _accept(state, problem, x_new, loss.residual(x_new), beta)
+    return _accept(state, problem, x_new, loss.residual(x_new), beta)
 
 
 def _sweep_step(state, problem, config, alphas, parallel):
@@ -115,7 +117,7 @@ def _sweep_step(state, problem, config, alphas, parallel):
             new_block = block_prox_step(x_b, grad, alphas[b], w, g=g, g_subgrad=g_subgrad)
             r = plans[b].residual_after_delta(r, new_block - x_b)
             x[idx] = new_block
-    _accept(state, problem, x, r, 0.0)
+    return _accept(state, problem, x, r, 0.0)
 
 
 def _run(problem, config, x0, callback, step):
@@ -158,7 +160,7 @@ def irl1e1_solve(problem: Problem, config: SolverConfig, x0, callback=None):
 
     The momentum follows the restarted sequence (reset every
     ``config.fista_restart_N`` iterations); the first step equals an
-    irl1 step because a fresh clock yields zero momentum.
+    irl1 step because the first step of a restart period has zero momentum.
     """
     if problem.penalty.g is not None:
         raise ValueError("irl1e1 requires the absolute-value g")

@@ -37,6 +37,7 @@ from .experiments import (
     ALGORITHMS,
     ExperimentSpec,
     SCALE_PRESETS,
+    SOLVER_FIELDS,
     build_problem,
     run_comparison,
 )
@@ -55,7 +56,6 @@ EXIT_MAX_ITER = 4
 EXIT_NUMERICAL = 5
 
 SPEC_KEYS = {f.name for f in dataclasses.fields(ExperimentSpec)}
-SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 TOP_KEYS = SPEC_KEYS | {"solver", "blob"}
 
 
@@ -117,6 +117,7 @@ def _load_config(args) -> dict:
 
 def _spec_from_config(config: dict) -> ExperimentSpec:
     spec_kwargs = {k: v for k, v in config.items() if k in SPEC_KEYS}
+    spec_kwargs["solver_defaults"] = config.get("solver")
     if "example" not in spec_kwargs:
         raise ConfigError("field 'example' is required")
     for key in ("n", "q"):
@@ -132,7 +133,7 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
 
 def _solver_config_from(config: dict, seed) -> SolverConfig:
     solver_cfg = dict(config.get("solver", {}))
-    unknown = set(solver_cfg) - SOLVER_KEYS
+    unknown = set(solver_cfg) - SOLVER_FIELDS
     if unknown:
         raise ConfigError(f"unknown solver config field {sorted(unknown)[0]!r}")
     if seed is not None:

@@ -20,7 +20,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -68,6 +68,8 @@ SCALE_PRESETS = {
     },
 }
 
+SOLVER_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
+
 DEFAULT_SOLVERS = {
     "log_ls": ("bpiree", "irl1e1", "irl1"),
     "matrix_lp": ("bpiree-lp", "pire-au", "pire-ps"),
@@ -91,7 +93,12 @@ class SolverEntry:
 
 @dataclass
 class ExperimentSpec:
-    """Fully-seeded description of one synthetic benchmark run."""
+    """Fully-seeded description of one synthetic benchmark run.
+
+    ``solver_defaults`` (not stored) are solver config values for every
+    row, the default rows included; a row's own ``config`` wins.  They are
+    merged into the rows' configs, and every row's config is checked here.
+    """
 
     example: str
     n: int
@@ -107,8 +114,9 @@ class ExperimentSpec:
     p: float = 0.1
     mu: float = 0.1
     solvers: List[SolverEntry] = field(default_factory=list)
+    solver_defaults: InitVar[Optional[dict]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, solver_defaults):
         if self.example not in EXAMPLES:
             raise ValueError(f"unknown example {self.example!r}")
         if self.conditioning not in CONDITIONINGS:
@@ -122,11 +130,24 @@ class ExperimentSpec:
         ]
         if not self.solvers:
             self.solvers = [SolverEntry(algo=a) for a in DEFAULT_SOLVERS[self.example]]
+        if solver_defaults:
+            self.solvers = [
+                dataclasses.replace(e, config={**solver_defaults, **e.config})
+                for e in self.solvers
+            ]
         if self.example != "matrix_lp" and any(e.algo == "bpiree-lp" for e in self.solvers):
             raise ValueError("bpiree-lp requires example 'matrix_lp'")
         labels = [e.label for e in self.solvers]
         if len(set(labels)) != len(labels):
             raise ValueError("solver labels must be unique; set 'label' per entry")
+        for entry in self.solvers:
+            unknown = set(entry.config) - SOLVER_FIELDS
+            try:
+                if unknown:
+                    raise ValueError(f"unknown config field {sorted(unknown)[0]!r}")
+                make_solver_config(self, entry).validate()
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"solver {entry.label!r}: {exc}") from None
 
     def nnz(self) -> int:
         """Planted nonzeros (per column for the matrix example)."""
@@ -271,7 +292,8 @@ ALGORITHMS = {
 
 
 def make_solver_config(spec: ExperimentSpec, entry: SolverEntry) -> SolverConfig:
-    """Solver config for one comparison row (spec seed + harness defaults)."""
+    """Solver config for one comparison row: spec seed and harness
+    defaults, overridden by the row's config."""
     base = dict(seed=spec.seed, mu=spec.mu, tol=1e-4)
     if entry.algo.startswith("bpiree"):
         base.update(_BPIREE_HARNESS_DEFAULTS)

@@ -262,6 +262,12 @@ class _LinearLoss:
         """
         return self.block_plan(idx).lipschitz
 
+    def value(self, x) -> float:
+        return self.value_from_residual(self.residual(x))
+
+    def grad(self, x) -> np.ndarray:
+        return self.grad_from_residual(self.residual(x))
+
 
 class LeastSquares(_LinearLoss):
     """Smooth loss ``f(x) = 0.5 * ||A x - b||^2``.
@@ -290,18 +296,12 @@ class LeastSquares(_LinearLoss):
     def dim(self) -> int:
         return self.A.shape[1]
 
-    def value(self, x) -> float:
-        return self.value_from_residual(self.residual(x))
-
     def residual(self, x) -> np.ndarray:
         x = self._check_x(x)
         return self.A @ x - self.b
 
     def value_from_residual(self, r) -> float:
         return 0.5 * float(np.vdot(r, r).real)
-
-    def grad(self, x) -> np.ndarray:
-        return self.A.T @ self.residual(x)
 
     def grad_from_residual(self, r) -> np.ndarray:
         return self.A.T @ r
@@ -388,17 +388,11 @@ class MatrixLeastSquares(_LinearLoss):
             raise ValueError(f"x has length {x.shape[0]}, expected {self.dim}")
         return x.reshape(self.q, self.t, order="F")
 
-    def value(self, x) -> float:
-        return self.value_from_residual(self.residual(x))
-
     def residual(self, x) -> np.ndarray:
         return self.A @ self._as_matrix(x) - self.B
 
     def value_from_residual(self, r) -> float:
         return 0.5 * float((r * r).sum())
-
-    def grad(self, x) -> np.ndarray:
-        return (self.A.T @ self.residual(x)).ravel(order="F")
 
     def grad_from_residual(self, r) -> np.ndarray:
         return (self.A.T @ r).ravel(order="F")

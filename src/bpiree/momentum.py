@@ -3,31 +3,18 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = ["MomentumClock", "fista_momentum"]
-
-
-@dataclass(frozen=True)
-class MomentumClock:
-    """State of the restarted momentum recurrence t_k = (1 + sqrt(1+4 t_{k-1}^2))/2."""
-
-    t_prev: float = 1.0
-    t_curr: float = 1.0
-    steps_since_restart: int = 0
-    N: int = 200
+__all__ = ["fista_momentum"]
 
 
-def fista_momentum(clock: MomentumClock):
-    """Advance the clock one step and return ``(beta, new_clock)``.
+def fista_momentum(t: float, j: int):
+    """One step of the restarted recurrence t_next = (1 + sqrt(1 + 4 t^2))/2.
 
-    ``beta = (t_curr - 1) / t_next``; both t values reset to 1 once
-    ``steps_since_restart`` reaches the restart period ``N``, so the call
-    after a reset yields ``beta = 0``.
+    ``j`` is the step's position in its restart period; ``j = 0`` restarts
+    from ``t = 1``, so its momentum is 0.  Returns ``(beta, t_next)`` with
+    ``beta = (t - 1) / t_next``.
     """
-    t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * clock.t_curr**2))
-    beta = (clock.t_curr - 1.0) / t_next
-    steps = clock.steps_since_restart + 1
-    if steps >= clock.N:
-        return beta, MomentumClock(1.0, 1.0, 0, clock.N)
-    return beta, MomentumClock(clock.t_curr, t_next, steps, clock.N)
+    if j == 0:
+        t = 1.0
+    t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t**2))
+    return (t - 1.0) / t_next, t_next

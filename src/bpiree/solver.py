@@ -24,7 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from .model import Problem, SmoothedLp
-from .momentum import MomentumClock, fista_momentum
+from .momentum import fista_momentum
 from .prox import NumericalFailure, block_prox_step
 
 __all__ = [
@@ -199,11 +199,11 @@ class SolverState:
 
     ``x_prev`` is the extrapolation anchor: on each block the value before
     the block's last update (the baselines keep the whole previous iterate
-    there).  ``update_counts`` counts the updates of each block (their sum
-    equals ``k``) and ``last_block_L`` holds the blocks' fixed curvature
-    constants.  ``eps`` is present only for the smoothed-lp penalty.  On
-    smoothed-lp problems the block solver also tracks ``sign``, the sign
-    pattern of ``x``, and ``sign_run_start``, the iteration it last changed.
+    there).  ``t`` is the FISTA value of the restarted momentum sequence and
+    ``last_block_L`` holds the blocks' fixed curvature constants.  ``eps``
+    is present only for the smoothed-lp penalty.  On smoothed-lp problems
+    the block solver also sets ``sign_run_start``, the iteration at which
+    the sign pattern of ``x`` last changed (None elsewhere).
 
     The step reuses values it computed before instead of evaluating them
     again.  These caches hold between steps:
@@ -222,18 +222,15 @@ class SolverState:
     x: np.ndarray
     F_current: float
     x_prev: Optional[np.ndarray] = None
-    update_counts: Optional[np.ndarray] = None
     last_block_L: Optional[np.ndarray] = None
     k: int = 0
     eps: Optional[np.ndarray] = None
-    clock: MomentumClock = field(default_factory=MomentumClock)
-    sign: Optional[np.ndarray] = field(default=None, repr=False)
-    sign_run_start: int = 1
+    t: float = 1.0
+    sign_run_start: Optional[int] = None
     # internal caches / bookkeeping (not part of the public contract)
     residual: Optional[np.ndarray] = field(default=None, repr=False)
     f: float = math.nan
     block_pen: List[float] = field(default_factory=list, repr=False)
-    last_step: Optional[_StepInfo] = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +313,7 @@ def descent_certificate(
 def _start_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
     """Check ``config`` and ``x0`` and build the state every algorithm starts
     from: a copy of ``x0`` (another as the extrapolation anchor), ``eps =
-    eps0`` on smoothed-lp problems, the residual, the objective and a fresh
-    momentum clock."""
+    eps0`` on smoothed-lp problems, the residual and the objective."""
     config.validate()
     x0 = np.asarray(x0, dtype=np.float64).ravel().copy()
     if x0.shape[0] != problem.loss.dim:
@@ -335,7 +331,6 @@ def _start_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
         # the sum eval_objective forms, without evaluating the residual again
         F_current=f + problem.penalty.value(x0, eps),
         eps=eps,
-        clock=MomentumClock(N=config.fista_restart_N),
         residual=residual,
         f=f,
     )
@@ -346,13 +341,12 @@ def init_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
     state = _start_state(problem, config, x0)
     x, eps = state.x, state.eps
     blocks = problem.partition.index
-    state.update_counts = np.zeros(problem.partition.m, dtype=np.int64)
     state.last_block_L = np.array([plan.lipschitz for plan in problem.block_plans])
     state.block_pen = [
         problem.penalty.value(x[b], None if eps is None else eps[b]) for b in blocks
     ]
     if problem.smoothed_lp:
-        state.sign = np.sign(x).astype(np.int8)
+        state.sign_run_start = 1
     return state
 
 
@@ -361,12 +355,12 @@ def _norm(v) -> float:
     return math.sqrt(v.dot(v))
 
 
-def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> SolverState:
-    """Run one iteration in place and return the state.
+def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> _StepInfo:
+    """Run one iteration in place and return what it did (block, momentum,
+    retry flag, step norms).
 
     Raises :class:`~bpiree.prox.NumericalFailure` if the accepted iterate
-    or objective is not finite.  Details of the step (block, momentum,
-    retry flag, step norms) are left in ``state.last_step``.
+    or objective is not finite.
     """
     partition = problem.partition
     penalty = problem.penalty
@@ -382,13 +376,15 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
     # (t - 1)/t_next and the bound is below 1/2.
     beta = 0.0
     if config.momentum in ("fista", "fista_capped"):
-        beta, state.clock = fista_momentum(state.clock)
+        beta, state.t = fista_momentum(state.t, (k - 1) % config.fista_restart_N)
     if config.momentum == "fista_capped":
         beta = min(beta, extrapolation_bound(config.gamma, config.delta))
     elif config.momentum == "bound":
         beta = extrapolation_bound(config.gamma, config.delta)
-    # No usable two-point history for a block's first two updates.
-    if state.update_counts[b] < 2:
+    # No usable two-point history for a block's first two updates.  Both
+    # schedules update every block once per cycle of m picks, so those are
+    # the picks of the first two cycles.
+    if k <= 2 * partition.m:
         beta = 0.0
 
     # x_block and eps_block are views for a slice index: read them before
@@ -437,7 +433,6 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
     state.x[idx] = new_block
     state.residual = r_new
     state.f = f_new
-    state.update_counts[b] += 1
     state.k = k
 
     if eps_block is not None:
@@ -451,14 +446,12 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
             pen_block = pen_shrunk
         state.eps[idx] = new_eps
         # only block b moved, so only its signs can have changed
-        sign = np.sign(new_block)
-        if not (sign == state.sign[idx]).all():
+        if not (np.sign(new_block) == np.sign(state.x_prev[idx])).all():
             state.sign_run_start = k
-            state.sign[idx] = sign
     state.block_pen[b] = pen_block
     state.F_current = F_new
 
-    state.last_step = _StepInfo(
+    return _StepInfo(
         block=b,
         beta_used=beta,
         retried=retried,
@@ -467,7 +460,6 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> S
         prev_step_norm=prev_step_norm,
         L_curr=L_curr,
     )
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +486,7 @@ def _make_record(problem, state, config, info, wall_ns):
         retried=info.retried,
         wall_ns=wall_ns,
     )
-    if state.sign is None:
+    if state.sign_run_start is None:
         return TraceRecord(**base)
     return LpTraceRecord(
         **base,
@@ -509,7 +501,7 @@ def _iterate(problem, config, state, step, window, callback=None):
     """The iteration loop every algorithm runs; returns ``(state, trace, status)``.
 
     ``step(state, problem, config)`` advances the state by one iteration
-    and leaves a ``_StepInfo`` in ``state.last_step``, or raises
+    and returns a ``_StepInfo``, or raises
     :class:`~bpiree.prox.NumericalFailure` without committing anything.
     The run converges once ``window`` consecutive iterations have a
     relative step below ``config.tol``.
@@ -521,12 +513,11 @@ def _iterate(problem, config, state, step, window, callback=None):
         t0 = time.perf_counter_ns() if config.record_trace else 0
         F_prev = state.F_current
         try:
-            step(state, problem, config)
+            info = step(state, problem, config)
         except NumericalFailure as exc:
             logger.warning("solver stopped: %s", exc)
             status = SolveStatus.NUMERICAL_FAILURE
             break
-        info = state.last_step
         if config.record_trace:
             trace.records.append(
                 _make_record(problem, state, config, info, time.perf_counter_ns() - t0)
@@ -552,11 +543,11 @@ def _iterate(problem, config, state, step, window, callback=None):
         else:
             small_steps = 0
     trace.iterations = state.k
-    if state.sign is not None:
+    if state.sign_run_start is not None:
         trace.support = SupportReport(
             fixed=_sign_fixed(state, config.support_window),
             K_observed=state.sign_run_start if state.k > 0 else None,
-            sign=state.sign.copy(),
+            sign=np.sign(state.x).astype(np.int8),
         )
     return state, trace, status
 

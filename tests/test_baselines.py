@@ -19,7 +19,7 @@ from bpiree.model import (
     LogPenalty,
     Problem,
 )
-from bpiree.momentum import MomentumClock, fista_momentum
+from bpiree.momentum import fista_momentum
 from bpiree.prox import block_prox_step
 from bpiree.solver import (
     SolveStatus,
@@ -37,36 +37,54 @@ def log_problem(A, b, lam=0.0, eps_bar=1.0, m=1):
     )
 
 
+def _reference_clock(t_curr, steps, N):
+    """The restarted FISTA clock written out: ``(t_curr, steps)`` to
+    ``(beta, (t_curr, steps))``, both t values reset to 1 after ``N`` steps."""
+    t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_curr**2))
+    beta = (t_curr - 1.0) / t_next
+    steps += 1
+    if steps >= N:
+        return beta, (1.0, 0)
+    return beta, (t_next, steps)
+
+
+def _betas(N, count):
+    """The first ``count`` momentum values of the restarted sequence."""
+    betas, t = [], 1.0
+    for k in range(1, count + 1):
+        beta, t = fista_momentum(t, (k - 1) % N)
+        betas.append(beta)
+    return betas
+
+
 class TestFistaMomentum:
     def test_fresh_clock_gives_zero(self):
-        beta, clock = fista_momentum(MomentumClock())
+        beta, t = fista_momentum(1.0, 0)
         assert beta == 0.0
-        assert clock.t_curr == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-12)
+        assert t == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-12)
 
     def test_second_value(self):
-        _, clock = fista_momentum(MomentumClock())
-        beta, _ = fista_momentum(clock)
+        _, t = fista_momentum(1.0, 0)
+        beta, _ = fista_momentum(t, 1)
         assert beta == pytest.approx(0.281754, abs=1e-6)
 
     def test_restart_resets(self):
-        clock = MomentumClock(N=5)
-        betas = []
-        for _ in range(6):
-            beta, clock = fista_momentum(clock)
-            betas.append(beta)
-        # call 5 triggers the reset, so call 6 is zero again
-        assert clock.steps_since_restart == 1
+        betas = _betas(5, 6)
+        # step 6 starts the second restart period, so it is zero again
         assert betas[5] == 0.0
         assert all(b > 0 for b in betas[1:5])
 
     def test_values_in_unit_interval_and_nondecreasing(self):
-        clock = MomentumClock(N=100)
-        betas = []
-        for _ in range(99):
-            beta, clock = fista_momentum(clock)
-            betas.append(beta)
+        betas = _betas(100, 99)
         assert all(0.0 <= b < 1.0 for b in betas)
         assert all(b2 >= b1 for b1, b2 in zip(betas, betas[1:]))
+
+    def test_matches_written_out_clock_bitwise(self):
+        for N in (1, 2, 7, 200):
+            t_curr, steps = 1.0, 0
+            for beta in _betas(N, 3 * N + 5):
+                ref_beta, (t_curr, steps) = _reference_clock(t_curr, steps, N)
+                assert beta.hex() == ref_beta.hex()
 
 
 class TestPire:
@@ -236,7 +254,7 @@ def _reference_baseline(algo, problem, config, x0):
     r = loss.residual(x)
     if algo in ("pire", "irl1e1"):
         alpha = 1.0 / loss.block_lipschitz(np.arange(loss.dim))
-        clock = MomentumClock(N=config.fista_restart_N)
+        clock = (1.0, 0)
         x_prev = x.copy()
     else:
         alphas = [1.0 / plan.lipschitz for plan in problem.block_plans]
@@ -246,7 +264,7 @@ def _reference_baseline(algo, problem, config, x0):
         if algo in ("pire", "irl1e1"):
             beta = 0.0
             if algo == "irl1e1":
-                beta, clock = fista_momentum(clock)
+                beta, clock = _reference_clock(*clock, config.fista_restart_N)
             w = penalty.weights(x, eps)
             if beta != 0.0:
                 x_hat = x + beta * (x - x_prev)

@@ -271,6 +271,38 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--seed", "7", "--out", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
+    def test_solver_section_sets_every_row(self, tmp_path):
+        # the default rows take it too; a row's own config still wins
+        out = str(tmp_path / "r.json")
+        cfg = write_config(tmp_path)
+        assert main(["compare", "--config", cfg, "--set", "solver.max_iter=1",
+                     "--out", out]) == 0
+        rows = json.loads(open(out).read())["results"]
+        assert [(r["iterations"], r["status"]) for r in rows] == [(1, "MaxIter")] * 3
+        cfg = write_config(tmp_path, solvers=[
+            {"algo": "bpiree"}, {"algo": "irl1", "config": {"max_iter": 2}},
+        ])
+        assert main(["compare", "--config", cfg, "--set", "solver.max_iter=1",
+                     "--out", out]) == 0
+        rows = json.loads(open(out).read())["results"]
+        assert [r["iterations"] for r in rows] == [1, 2]
+
+    @pytest.mark.parametrize("rows,message", [
+        ([{"algo": "bpiree", "config": {"bogus": 1}}], "solver 'bpiree': unknown config field 'bogus'"),
+        ([{"algo": "bpiree"}, {"algo": "irl1", "config": {"momentum": "xyz"}}],
+         "solver 'irl1': unknown momentum mode 'xyz'"),
+        ([{"algo": "bpiree", "config": {"momentum": "xyz"}}, {"algo": "irl1"}],
+         "solver 'bpiree': unknown momentum mode 'xyz'"),
+    ], ids=["unknown-key", "bad-value-other-row", "bad-value-reference"])
+    def test_bad_row_config_exits_two_without_report(self, tmp_path, capsys, rows, message):
+        cfg = write_config(tmp_path, solvers=rows)
+        out = tmp_path / "r.json"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_subprocess_entry_point(self, tmp_path):
         # the module is runnable as a process; exercised once to keep the
         # suite honest about packaging

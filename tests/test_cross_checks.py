@@ -22,7 +22,6 @@ from bpiree.model import (
     SmoothedLp,
     eval_objective,
 )
-from bpiree.momentum import MomentumClock, fista_momentum
 from bpiree.solver import (
     SolveStatus,
     SolverConfig,
@@ -31,6 +30,17 @@ from bpiree.solver import (
     init_state,
     bpiree_step,
 )
+
+
+def reference_clock(t_curr, steps, N):
+    """The restarted FISTA clock written out: ``(t_curr, steps)`` to
+    ``(beta, (t_curr, steps))``, both t values reset to 1 after ``N`` steps."""
+    t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_curr**2))
+    beta = (t_curr - 1.0) / t_next
+    steps += 1
+    if steps >= N:
+        return beta, (1.0, 0)
+    return beta, (t_next, steps)
 
 
 def reference_trajectory(problem, config, x0, iters):
@@ -44,7 +54,7 @@ def reference_trajectory(problem, config, x0, iters):
     L = [problem.loss.block_lipschitz(b) for b in partition.blocks]
     last_L = list(L)
     eps = np.full(x.size, config.eps0) if smoothed else None
-    clock = MomentumClock(N=config.fista_restart_N)
+    clock = (1.0, 0)
     F = eval_objective(problem.loss, problem.penalty, x, eps)
     history = []
     for k in range(1, iters + 1):
@@ -52,7 +62,7 @@ def reference_trajectory(problem, config, x0, iters):
         idx = partition.blocks[b]
         alpha = 1.0 / (config.gamma * L[b])
         if config.momentum in ("fista", "fista_capped"):
-            beta_sched, clock = fista_momentum(clock)
+            beta_sched, clock = reference_clock(*clock, config.fista_restart_N)
         else:
             beta_sched = 0.0
         bound = extrapolation_bound(config.gamma, config.delta) * math.sqrt(last_L[b] / L[b])
@@ -109,8 +119,7 @@ def optimized_trajectory(problem, config, x0, iters):
     state = init_state(problem, config, x0)
     history = []
     for _ in range(iters):
-        bpiree_step(state, problem, config)
-        info = state.last_step
+        info = bpiree_step(state, problem, config)
         history.append(
             (info.block, info.beta_used, info.retried, state.F_current, state.x.copy())
         )
@@ -295,3 +304,62 @@ class TestLogLsScaleInvariance:
             assert (trace_c.iterations, status_c) == (trace.iterations, status), (seed, m)
             err = np.linalg.norm(x_c - c * x) / np.linalg.norm(c * x)
             assert err <= 1e-12, (seed, m, err)
+
+
+class TestColumnPermutation:
+    """Permuting the columns of ``A`` together with the partition (each
+    block keeps its columns, in the same order, now found through an index
+    array) permutes the solution.  Block steps only touch their own columns
+    and the residual, so their iterates match bit for bit; pire-ps and
+    irl1e1 recompute the full residual ``A x - b``, whose sum order the
+    permutation changes, so theirs match to rounding."""
+
+    CASES = [(seed, m) for seed in (0, 13, 17) for m in (1, 4)]
+    EXACT = [
+        ("bpiree", SolverConfig(momentum="fista")),
+        ("bpiree", SolverConfig(momentum="fista", schedule="shuffled", seed=3)),
+        ("bpiree", SolverConfig()),
+        ("pire-au", SolverConfig()),
+    ]
+    ROUNDED = [("pire-ps", SolverConfig()), ("irl1e1", SolverConfig())]
+
+    @staticmethod
+    def _pair(seed, m):
+        prob, _ = build_problem(desk_spec("log_ls", seed=seed, m=m))
+        perm = np.random.default_rng(100 + seed).permutation(prob.loss.dim)
+        inv = np.argsort(perm)
+        permuted = Problem(
+            LeastSquares(prob.loss.A[:, perm], prob.loss.b),
+            prob.penalty,
+            BlockPartition(blocks=tuple(inv[b] for b in prob.partition.blocks),
+                           n=prob.loss.dim),
+        )
+        assert not any(isinstance(i, slice) for i in permuted.partition.index)
+        return prob, permuted, inv
+
+    @staticmethod
+    def _runs(algo, config, prob, permuted):
+        x0 = np.zeros(prob.loss.dim)
+        return (ALGORITHMS[algo](prob, config, x0), ALGORITHMS[algo](permuted, config, x0))
+
+    @pytest.mark.parametrize("algo,config", EXACT,
+                             ids=["fista", "fista-shuffled", "fista_capped", "pire-au"])
+    def test_block_steps_permute_bitwise(self, algo, config):
+        for seed, m in self.CASES:
+            prob, permuted, inv = self._pair(seed, m)
+            (x, trace, status), (x_p, trace_p, status_p) = self._runs(
+                algo, config, prob, permuted
+            )
+            assert (trace_p.iterations, status_p) == (trace.iterations, status), (seed, m)
+            np.testing.assert_array_equal(x_p[inv], x, err_msg=f"seed {seed}, m {m}")
+
+    @pytest.mark.parametrize("algo,config", ROUNDED, ids=["pire-ps", "irl1e1"])
+    def test_full_residual_steps_permute_to_rounding(self, algo, config):
+        for seed, m in self.CASES:
+            prob, permuted, inv = self._pair(seed, m)
+            (x, trace, status), (x_p, trace_p, status_p) = self._runs(
+                algo, config, prob, permuted
+            )
+            assert (trace_p.iterations, status_p) == (trace.iterations, status), (seed, m)
+            err = np.linalg.norm(x_p[inv] - x) / np.linalg.norm(x)
+            assert err <= 1e-7, (seed, m, err)

@@ -104,8 +104,8 @@ class TestSolveLp:
         state = init_state(prob, config, np.zeros(prob.loss.dim))
         for _ in range(200):
             eps_before = state.eps.copy()
-            bpiree_step(state, prob, config)
-            idx = prob.partition.blocks[state.last_step.block]
+            info = bpiree_step(state, prob, config)
+            idx = prob.partition.blocks[info.block]
             changed = np.zeros(prob.loss.dim, dtype=bool)
             changed[idx] = True
             # untouched coordinates keep eps
@@ -248,5 +248,4 @@ class TestSignTracking:
             if not np.array_equal(new_sign, sign):
                 sign, run_start = new_sign, state.k
             assert state.sign_run_start == run_start
-            np.testing.assert_array_equal(state.sign, sign)
         assert run_start > 1

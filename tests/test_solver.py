@@ -16,7 +16,6 @@ from bpiree.model import (
     SmoothedLp,
 )
 from bpiree.experiments import build_problem, desk_spec
-from bpiree.momentum import MomentumClock, fista_momentum
 from bpiree.solver import (
     EPS_FLOOR,
     SolveStatus,
@@ -66,6 +65,18 @@ class TestChooseBlock:
         for c in range(4):
             assert sorted(picks[c * m : (c + 1) * m]) == list(range(m))
 
+    def test_one_update_per_cycle(self):
+        # the zero-momentum rule k <= 2m rests on this: before iteration k
+        # the chosen block was picked (k-1)//m times
+        for schedule in ("cyclic", "shuffled"):
+            for m in (1, 2, 3, 5, 10):
+                for seed in (0, 3, 17):
+                    counts = [0] * m
+                    for k in range(1, 20 * m + 1):
+                        b = choose_block(schedule, k, m, seed)
+                        assert counts[b] == (k - 1) // m
+                        counts[b] += 1
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             choose_block("cyclic", 0, 3)
@@ -97,7 +108,6 @@ class TestBpireeStep:
         bpiree_step(state, prob, config)
         assert state.x[0] == pytest.approx(1.0 / 2.02, rel=1e-9)
         assert state.k == 1
-        assert state.update_counts.sum() == 1
 
     def test_reduces_to_proximal_gradient(self):
         # beta forced 0 (momentum "none") and lam = 0: plain block step
@@ -117,8 +127,8 @@ class TestBpireeStep:
         # value planted so that the extrapolation overshoots the stiff
         # direction and raises F
         state = init_state(prob, config, np.array([1.0, 1.0]))
-        state.update_counts[0] = 2  # pretend two updates already happened
-        state.clock = MomentumClock(1e6, 1e6, 1, config.fista_restart_N)
+        state.k = 2  # pretend two updates already happened
+        state.t = 1e6
         state.x_prev[:] = [-1.0, 1.0]
         return state
 
@@ -128,9 +138,9 @@ class TestBpireeStep:
         config = SolverConfig(momentum="fista", safeguard=True)
         state = self._overshooting_state(prob, config)
         F_prev = state.F_current
-        bpiree_step(state, prob, config)
-        assert state.last_step.retried
-        assert state.last_step.beta_used == 0.0
+        info = bpiree_step(state, prob, config)
+        assert info.retried
+        assert info.beta_used == 0.0
         assert state.F_current <= F_prev + 1e-12 * (1 + abs(F_prev))
 
     def test_safeguard_off_accepts_increase(self):
@@ -139,8 +149,8 @@ class TestBpireeStep:
         config = SolverConfig(momentum="fista", safeguard=False)
         state = self._overshooting_state(prob, config)
         F_prev = state.F_current
-        bpiree_step(state, prob, config)
-        assert not state.last_step.retried
+        info = bpiree_step(state, prob, config)
+        assert not info.retried
         assert state.F_current > F_prev
 
     def test_bookkeeping_counts_and_untouched_blocks(self):
@@ -151,9 +161,8 @@ class TestBpireeStep:
         state = init_state(prob, config, rng.standard_normal(9))
         for k in range(1, 30):
             x_before = state.x.copy()
-            bpiree_step(state, prob, config)
-            assert state.update_counts.sum() == k == state.k
-            b = state.last_step.block
+            b = bpiree_step(state, prob, config).block
+            assert k == state.k
             mask = np.ones(9, dtype=bool)
             mask[prob.partition.blocks[b]] = False
             np.testing.assert_array_equal(state.x[mask], x_before[mask])
@@ -194,10 +203,22 @@ def _reference_init(problem, config, x0):
         last_L=np.array([plan.lipschitz for plan in problem.block_plans]),
         F=f + pen,
         eps=eps,
-        clock=MomentumClock(N=config.fista_restart_N),
+        t=1.0,
+        steps=0,
         residual=residual,
         k=0,
     )
+
+
+def _reference_clock(t_curr, steps, N):
+    """The restarted FISTA clock written out: ``(t_curr, steps)`` to
+    ``(beta, (t_curr, steps))``, both t values reset to 1 after ``N`` steps."""
+    t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_curr**2))
+    beta = (t_curr - 1.0) / t_next
+    steps += 1
+    if steps >= N:
+        return beta, (1.0, 0)
+    return beta, (t_next, steps)
 
 
 def _reference_step(ref, problem, config):
@@ -215,7 +236,7 @@ def _reference_step(ref, problem, config):
     alpha = 1.0 / (config.gamma * L_curr)
     beta = 0.0
     if config.momentum in ("fista", "fista_capped"):
-        beta, ref.clock = fista_momentum(ref.clock)
+        beta, (ref.t, ref.steps) = _reference_clock(ref.t, ref.steps, config.fista_restart_N)
     bound = extrapolation_bound(config.gamma, config.delta) * math.sqrt(ref.last_L[b] / L_curr)
     if config.momentum == "fista_capped":
         beta = min(beta, bound)
@@ -328,16 +349,16 @@ class TestStepMatchesReference:
         ref = _reference_init(problem, config, x0)
         retries = 0
         for _ in range(400):
-            bpiree_step(state, problem, config)
+            info = bpiree_step(state, problem, config)
             retried = _reference_step(ref, problem, config)
-            assert state.last_step.retried == retried
+            assert info.retried == retried
             retries += retried
             np.testing.assert_array_equal(state.x, ref.x)
             np.testing.assert_array_equal(state.residual, ref.residual)
             if ref.eps is not None:
                 np.testing.assert_array_equal(state.eps, ref.eps)
             assert state.F_current.hex() == ref.F.hex()
-            assert state.last_step.step_rel.hex() == ref.step_rel.hex()
+            assert info.step_rel.hex() == ref.step_rel.hex()
         if config.momentum == "fista" and config.fista_restart_N == 200:
             assert retries > 0, "the safeguard path was not exercised"
 
@@ -521,8 +542,7 @@ class TestDescentCertificate:
         config = SolverConfig(momentum="none")
         state = init_state(prob, config, np.zeros(2))
         F_prev = state.F_current
-        bpiree_step(state, prob, config)
-        info = state.last_step
+        info = bpiree_step(state, prob, config)
         cert = descent_certificate(
             F_prev, state.F_current, info.L_curr,
             0.0, info.step_norm, info.prev_step_norm, config.gamma,
