@@ -11,7 +11,7 @@ without per-block extrapolation state:
 * ``pire_ps_solve`` / ``pire_au_solve`` - block sweeps with per-block
   stepsizes: parallel splitting updates every block from the sweep's base
   point with weights frozen at sweep start (Jacobi-style), alternative
-  updating walks the blocks sequentially with fresh weights and iterates
+  updating walks the blocks sequentially with fresh iterates
   (Gauss-Seidel-style).  One sweep counts as one iteration.
 
 Each method is a step function run by the block solver's loop
@@ -93,28 +93,40 @@ def _full_vector_step(state, problem, config, alpha, use_momentum):
 
 
 def _sweep_step(state, problem, config, alphas, parallel):
-    """pire-ps (parallel=True) / pire-au: one sweep over all blocks."""
+    """pire-ps (parallel=True) / pire-au: one sweep over all blocks.
+
+    ``alphas`` holds the block stepsizes: per coordinate for pire-ps, per
+    block for pire-au."""
     penalty, eps = problem.penalty, state.eps
     plans = problem.block_plans
     g, g_subgrad = penalty.g, penalty.g_subgrad
     x_start, r = state.x, state.residual
-    x = x_start.copy()
+    # The penalty is separable and a sweep moves each block once, so the
+    # weights at the sweep's base point are also a block's weights at its
+    # turn: one call serves both semantics.
+    w_all = penalty.weights(x_start, eps)
     if parallel:
-        # Jacobi semantics: every block reads the sweep's base point.
-        w_all = penalty.weights(x_start, eps)
+        # Jacobi semantics: every block reads the sweep's base point, so the
+        # blocks' subproblems form one prox step with per-coordinate
+        # stepsizes.  Scaling the gradient and the weights by each
+        # coordinate's stepsize and passing alpha = 1.0 gives the floats of
+        # one call per block with that block's stepsize.
+        grad = np.empty_like(x_start)
         for b, idx in enumerate(problem.partition.index):
-            grad = plans[b].grad_from_residual(r)
-            x[idx] = block_prox_step(
-                x_start[idx], grad, alphas[b], w_all[idx], g=g, g_subgrad=g_subgrad
-            )
+            grad[idx] = plans[b].grad_from_residual(r)
+        x = block_prox_step(
+            x_start, alphas * grad, 1.0, alphas * w_all, g=g, g_subgrad=g_subgrad
+        )
         r = problem.loss.residual(x)
     else:
-        # Gauss-Seidel semantics: fresh iterate and weights per block.
+        # Gauss-Seidel semantics: each block reads the freshest iterate.
+        x = x_start.copy()
         for b, idx in enumerate(problem.partition.index):
             x_b = x[idx]  # a view for a slice index; written back last
-            w = penalty.weights(x_b, None if eps is None else eps[idx])
             grad = plans[b].grad_from_residual(r)
-            new_block = block_prox_step(x_b, grad, alphas[b], w, g=g, g_subgrad=g_subgrad)
+            new_block = block_prox_step(
+                x_b, grad, alphas[b], w_all[idx], g=g, g_subgrad=g_subgrad
+            )
             r = plans[b].residual_after_delta(r, new_block - x_b)
             x[idx] = new_block
     return _accept(state, problem, x, r, 0.0)
@@ -135,6 +147,11 @@ def _full_vector(problem, config, x0, callback, use_momentum):
 
 def _sweep(problem, config, x0, callback, parallel):
     alphas = [1.0 / plan.lipschitz for plan in problem.block_plans]
+    if parallel:
+        alpha_vec = np.empty(problem.loss.dim)
+        for alpha, idx in zip(alphas, problem.partition.index):
+            alpha_vec[idx] = alpha
+        alphas = alpha_vec
     step = functools.partial(_sweep_step, alphas=alphas, parallel=parallel)
     return _run(problem, config, x0, callback, step)
 
@@ -178,5 +195,6 @@ def pire_ps_solve(problem: Problem, config: SolverConfig, x0, callback=None):
 
 def pire_au_solve(problem: Problem, config: SolverConfig, x0, callback=None):
     """Alternative-updating sweeps: blocks step sequentially within a sweep,
-    each from the freshest iterate with freshly recomputed weights."""
+    each from the freshest iterate.  A block's weights are those of its
+    current values, which no earlier block of the sweep has moved."""
     return _sweep(problem, config, x0, callback, parallel=False)

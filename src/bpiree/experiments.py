@@ -35,7 +35,7 @@ from .model import (
     Problem,
     SmoothedLp,
 )
-from .solver import SolveStatus, SolverConfig, solve
+from .solver import SolveStatus, SolverConfig, _norm, solve
 
 __all__ = [
     "ExperimentSpec",
@@ -97,7 +97,8 @@ class ExperimentSpec:
 
     ``solver_defaults`` (not stored) are solver config values for every
     row, the default rows included; a row's own ``config`` wins.  They are
-    merged into the rows' configs, and every row's config is checked here.
+    merged into the rows' configs, and every row's config is checked here,
+    including that it keeps ``record_trace`` on.
     """
 
     example: str
@@ -145,7 +146,13 @@ class ExperimentSpec:
             try:
                 if unknown:
                     raise ValueError(f"unknown config field {sorted(unknown)[0]!r}")
-                make_solver_config(self, entry).validate()
+                config = make_solver_config(self, entry)
+                config.validate()
+                if not config.record_trace:
+                    raise ValueError(
+                        "record_trace must be true: compare reads F_final and "
+                        "the f_gap curves from the trace"
+                    )
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"solver {entry.label!r}: {exc}") from None
 
@@ -428,7 +435,7 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
         x_rel: List[float] = []
 
         def track(k, xk):
-            dist = float(np.linalg.norm(xk - x_ref))
+            dist = _norm(xk - x_ref)
             x_rel.append(dist / ref_norm if ref_norm != 0.0 else math.inf)
 
         if entry is ref:

@@ -454,8 +454,9 @@ class LogPenalty:
         if not 0 < self.eps_bar < np.inf:
             raise ValueError("eps_bar must be finite and positive")
 
-    def h(self, t):
-        return np.log(np.asarray(t) + self.eps_bar) - np.log(self.eps_bar)
+    @functools.cached_property
+    def _log_eps_bar(self):
+        return np.log(self.eps_bar)
 
     def h_prime(self, t):
         return 1.0 / (np.asarray(t) + self.eps_bar)
@@ -465,7 +466,8 @@ class LogPenalty:
         return self.lam / (np.abs(x) + self.eps_bar)
 
     def value(self, x, eps=None) -> float:
-        return self.lam * float(self.h(np.abs(x)).sum())
+        """``lam * sum_j h(|x_j|)``."""
+        return self.lam * float((np.log(np.abs(x) + self.eps_bar) - self._log_eps_bar).sum())
 
 
 @dataclass(frozen=True)
@@ -493,8 +495,9 @@ class SmoothedLp:
         if eps is None:
             raise ValueError("SmoothedLp penalty requires smoothing factors")
         eps = np.asarray(eps, dtype=np.float64)
-        if (eps <= 0).any():
-            raise ValueError("smoothing factors must stay positive")
+        # min and max propagate NaN, so these two reductions reject it too
+        if eps.size and not 0.0 < eps.min() <= eps.max() < np.inf:
+            raise ValueError("smoothing factors must be finite and positive")
         return self.lam * self.p * (np.abs(x) + eps**2) ** (self.p - 1.0)
 
     def value(self, x, eps=None) -> float:

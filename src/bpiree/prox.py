@@ -152,6 +152,11 @@ def block_prox_step(
     and effective weight ``alpha * w_j``.  Uses the closed-form soft
     threshold when ``g`` is the absolute value (``g=None``) and bisection
     otherwise.
+
+    Raises ``ValueError`` on unequal lengths, ``alpha <= 0`` and negative
+    or NaN weights.  Unlike :func:`prox_weighted_abs` it does not check
+    that ``x_hat`` and the gradient are finite: the iteration loop calls
+    it on every block step, with finite data, and checks each new iterate.
     """
     x_hat = np.asarray(x_hat, dtype=np.float64).ravel()
     grad_block = np.asarray(grad_block, dtype=np.float64).ravel()
@@ -160,11 +165,13 @@ def block_prox_step(
         raise ValueError("x_hat, grad_block and weights must have equal length")
     if alpha <= 0:
         raise ValueError("stepsize alpha must be positive")
-    if (weights < 0).any():
+    # one reduction rejects negative and NaN weights alike
+    if weights.size and not weights.min() >= 0:
         raise ValueError("weights must be nonnegative")
 
     v = x_hat - alpha * grad_block
     tau = alpha * weights
     if g is None:
-        return prox_weighted_abs(v, tau)
+        # prox_weighted_abs's soft threshold, without its finiteness pass
+        return np.copysign(np.maximum(np.abs(v) - tau, 0.0), v)
     return np.array([prox_scalar_convex(vj, tj, g, g_subgrad, tol) for vj, tj in zip(v, tau)])

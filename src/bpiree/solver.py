@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -57,6 +58,12 @@ EPS_FLOOR = 1e-100
 
 MOMENTUM_MODES = ("fista_capped", "fista", "bound", "none")
 SCHEDULES = ("cyclic", "shuffled")
+
+# SolverConfig fields by type, for SolverConfig.validate
+_INT_FIELDS = ("max_iter", "seed", "fista_restart_N", "support_window")
+_REAL_FIELDS = ("gamma", "delta", "tol", "mu", "eps0")
+_BOOL_FIELDS = ("safeguard", "record_trace", "record_residual", "check_descent")
+_STR_FIELDS = ("schedule", "momentum")
 
 
 class SolveStatus(str, Enum):
@@ -106,6 +113,26 @@ class SolverConfig:
     check_descent: bool = False
 
     def validate(self) -> None:
+        """Raise ``ValueError`` naming the first field of the wrong type
+        or out of range.  Integer fields take ints, not bools; real fields
+        take finite ints or floats."""
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in _BOOL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
+        for name in _STR_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
         if not self.gamma > 1.0:
             raise ValueError("gamma must exceed 1")
         if not 0.0 < self.delta < 1.0:

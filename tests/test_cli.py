@@ -102,6 +102,11 @@ class TestSolve:
         assert main(["solve", instance, "--algo", "bpiree", "--set", "solver.T=3"]) == 2
         assert "unknown solver config field 'T'" in capsys.readouterr().err
 
+    def test_wrong_type_names_the_field(self, instance, capsys):
+        code = main(["solve", instance, "--algo", "bpiree", "--set", 'solver.max_iter="abc"'])
+        assert code == 2
+        assert "max_iter" in capsys.readouterr().err
+
     def test_trace_written(self, tmp_path, instance):
         trace = str(tmp_path / "trace.csv")
         assert main(["solve", instance, "--algo", "irl1", "--trace", trace]) == 0
@@ -301,6 +306,27 @@ class TestCompare:
         captured = capsys.readouterr()
         assert captured.err == f"config error: {message}\n"
         assert captured.out == ""
+        assert not out.exists()
+
+    def test_record_trace_off_exits_two_without_report(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "r.json"
+        code = main(["compare", "--config", cfg, "--set", "solver.record_trace=false",
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: solver 'bpiree': record_trace")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_wrong_type_names_the_field(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "r.json"
+        code = main(["compare", "--config", cfg, "--set", 'solver.max_iter="abc"',
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: solver 'bpiree': max_iter")
         assert not out.exists()
 
     def test_subprocess_entry_point(self, tmp_path):

@@ -1,12 +1,13 @@
 """Data generators, metrics and the comparison harness."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from bpiree import experiments
+from bpiree import baselines, experiments, solver
 from bpiree.experiments import (
     ExperimentSpec,
     SolverEntry,
@@ -14,7 +15,9 @@ from bpiree.experiments import (
     gen_gaussian_sensing,
     gen_illconditioned,
     gen_matrix_problem,
+    make_solver_config,
     rel_err,
+    run_algorithm,
     run_comparison,
 )
 from bpiree.model import validate_partition
@@ -254,3 +257,44 @@ class TestComparisonPasses:
         monkeypatch.setitem(experiments.ALGORITHMS, "bpiree", fails)
         with pytest.raises(RuntimeError, match="reference solver bpiree"):
             run_comparison(desk_spec(**self.SPEC))
+
+
+class TestProxCallPath:
+    """Every algorithm calls the prox through the module-level names
+    ``solver.block_prox_step`` and ``baselines.block_prox_step``, the names
+    a span recorder rebinds; the counts pin how often."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        spec = desk_spec("matrix_lp", seed=0)
+        problem, _ = experiments.build_problem(spec)
+        return spec, problem
+
+    @pytest.mark.parametrize("algo", sorted(experiments.ALGORITHMS))
+    def test_calls_per_iteration(self, monkeypatch, instance, algo):
+        spec, problem = instance
+        calls = []
+        for module in (solver, baselines):
+            def counted(*args, _prox=module.block_prox_step, **kwargs):
+                calls.append(len(args[0]))
+                return _prox(*args, **kwargs)
+
+            monkeypatch.setattr(module, "block_prox_step", counted)
+        config = dataclasses.replace(
+            make_solver_config(spec, SolverEntry(algo)), max_iter=300
+        )
+        _x, trace, _status = run_algorithm(
+            algo, problem, config, np.zeros(problem.loss.dim)
+        )
+        k, m, n = trace.iterations, problem.partition.m, problem.loss.dim
+        if algo.startswith("bpiree"):
+            # one call per attempt: a retried step tries twice
+            retries = sum(rec.retried for rec in trace.records)
+            assert retries > 0
+            assert calls == [n // m] * (k + retries)
+        elif algo == "pire-au":
+            assert calls == [n // m] * (m * k)
+        else:
+            # the full-vector methods, and pire-ps, which batches its m
+            # blocks: one call on all n coordinates per iteration
+            assert calls == [n] * k

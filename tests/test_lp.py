@@ -40,6 +40,11 @@ class TestLpWeights:
         with pytest.raises(ValueError):
             SmoothedLp(lam=1.0, p=0.5).weights(np.zeros(1), np.zeros(1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_eps(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SmoothedLp(lam=1.0, p=0.5).weights(np.ones(2), np.array([bad, 1.0]))
+
 
 class TestUpdateEpsilon:
     def test_zero_keeps_eps(self):

@@ -219,3 +219,16 @@ class TestBlockProxStep:
             block_prox_step(np.ones(2), np.ones(2), 0.0, np.ones(2))
         with pytest.raises(ValueError):
             block_prox_step(np.ones(2), np.ones(2), 1.0, -np.ones(2))
+
+    def test_rejects_nan_weight(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            block_prox_step(np.ones(2), np.ones(2), 1.0, np.array([np.nan, 1.0]))
+
+    def test_matches_prox_weighted_abs(self):
+        rng = np.random.default_rng(5)
+        x_hat, grad = rng.standard_normal(50), rng.standard_normal(50)
+        weights = rng.uniform(0, 1, size=50)
+        alpha = 0.37
+        expected = prox_weighted_abs(x_hat - alpha * grad, alpha * weights)
+        out = block_prox_step(x_hat, grad, alpha, weights)
+        assert out.tobytes() == expected.tobytes()

@@ -584,3 +584,31 @@ class TestConfigValidation:
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("max_iter", "abc"),
+            ("max_iter", 10.0),
+            ("seed", True),
+            ("fista_restart_N", None),
+            ("support_window", 1.5),
+            ("gamma", "2"),
+            ("delta", False),
+            ("tol", math.nan),
+            ("mu", None),
+            ("eps0", math.inf),
+            ("eps0", math.nan),
+            ("safeguard", 1),
+            ("record_trace", "yes"),
+            ("schedule", 1),
+            ("momentum", None),
+        ],
+    )
+    def test_wrong_type_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value}).validate()
+
+    def test_ints_accepted_for_real_fields(self):
+        SolverConfig(gamma=3, delta=0.5, tol=1, mu=0.5, eps0=2,
+                     max_iter=np.int64(5)).validate()
