@@ -37,15 +37,16 @@ from .experiments import (
     ALGORITHMS,
     ExperimentSpec,
     SCALE_PRESETS,
-    SOLVER_FIELDS,
     build_problem,
+    check_ill_shape,
     run_comparison,
+    solver_config,
 )
 from .io import atomic_write_text, load_problem, save_problem, write_trace_csv
 from .lp import solve_lp
 from .model import eval_objective
 from .prox import NumericalFailure
-from .solver import SolveStatus, SolverConfig, stationarity_residual
+from .solver import SolveStatus, stationarity_residual
 
 logger = logging.getLogger("bpiree")
 
@@ -100,7 +101,7 @@ def _load_config(args) -> dict:
     _apply_overrides(config, args.set or [])
     if args.scale is not None:
         example = config.get("example")
-        if example not in SCALE_PRESETS:
+        if not isinstance(example, str) or example not in SCALE_PRESETS:
             raise ConfigError(
                 f"field 'example' must be one of {sorted(SCALE_PRESETS)} to use --scale"
             )
@@ -123,37 +124,17 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
     for key in ("n", "q"):
         if key not in spec_kwargs:
             raise ConfigError(f"field {key!r} is required (or use --scale)")
-        if not isinstance(spec_kwargs[key], int) or spec_kwargs[key] <= 0:
-            raise ConfigError(f"field {key!r} must be a positive integer")
     try:
-        return ExperimentSpec(**spec_kwargs)
+        spec = ExperimentSpec(**spec_kwargs)
+        check_ill_shape(spec)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _solver_config_from(config: dict, seed) -> SolverConfig:
-    solver_cfg = dict(config.get("solver", {}))
-    unknown = set(solver_cfg) - SOLVER_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown solver config field {sorted(unknown)[0]!r}")
-    if seed is not None:
-        solver_cfg.setdefault("seed", seed)
-    if "mu" in config:
-        solver_cfg.setdefault("mu", config["mu"])
-    try:
-        cfg = SolverConfig(**solver_cfg)
-        cfg.validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg
+    return spec
 
 
 def cmd_generate(args) -> int:
     config = _load_config(args)
-    spec = _spec_from_config(config)
-    if args.out is None:
-        raise ConfigError("generate requires --out")
-    problem, x_true = build_problem(spec)
+    problem, x_true = build_problem(_spec_from_config(config))
     try:
         save_problem(args.out, problem, x_true=x_true, blob=bool(config.get("blob")))
     except OSError as exc:
@@ -178,8 +159,12 @@ def cmd_solve(args) -> int:
     except (KeyError, ValueError) as exc:
         print(f"malformed instance: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    solver_config = _solver_config_from(config, config.get("seed"))
-    solver_config.record_trace = True
+    # the top-level seed and mu are defaults the solver section overrides
+    defaults = {k: config[k] for k in ("seed", "mu") if k in config}
+    try:
+        solver_cfg = solver_config(defaults, config.get("solver"), {"record_trace": True})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     if algo == "bpiree" and problem.smoothed_lp:
         algo_fn = "bpiree-lp"  # the block solver on an lp instance is the lp variant
@@ -190,13 +175,13 @@ def cmd_solve(args) -> int:
         return EXIT_CONFIG
     eps_final = None
     if algo_fn == "bpiree-lp":
-        x, eps_final, trace, status = solve_lp(problem, solver_config, np.zeros(problem.loss.dim))
+        x, eps_final, trace, status = solve_lp(problem, solver_cfg, np.zeros(problem.loss.dim))
     else:
         x, trace, status = ALGORITHMS[algo_fn](
-            problem, solver_config, np.zeros(problem.loss.dim)
+            problem, solver_cfg, np.zeros(problem.loss.dim)
         )
     if problem.smoothed_lp and eps_final is None:
-        eps_final = np.full(problem.loss.dim, solver_config.eps0)
+        eps_final = np.full(problem.loss.dim, solver_cfg.eps0)
     F_final = eval_objective(problem.loss, problem.penalty, x, eps_final)
     residual = math.nan
     # a failed run's last finite iterate may overflow the gradient norm

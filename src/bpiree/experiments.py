@@ -35,7 +35,7 @@ from .model import (
     Problem,
     SmoothedLp,
 )
-from .solver import SolveStatus, SolverConfig, _norm, solve
+from .solver import SolveStatus, SolverConfig, _norm, check_field_types, solve
 
 __all__ = [
     "ExperimentSpec",
@@ -54,7 +54,6 @@ __all__ = [
 
 logger = logging.getLogger("bpiree")
 
-EXAMPLES = ("log_ls", "matrix_lp")
 CONDITIONINGS = ("well", "ill")
 
 SCALE_PRESETS = {
@@ -95,9 +94,10 @@ class SolverEntry:
 class ExperimentSpec:
     """Fully-seeded description of one synthetic benchmark run.
 
-    ``solver_defaults`` (not stored) are solver config values for every
-    row, the default rows included; a row's own ``config`` wins.  They are
-    merged into the rows' configs, and every row's config is checked here,
+    Construction checks every field's type and all that ``build_problem``
+    needs but :func:`check_ill_shape`.  ``solver_defaults`` (not stored)
+    are solver config values for every row, the default rows included; a
+    row's own ``config`` wins.  Every row's merged config is checked here,
     including that it keeps ``record_trace`` on.
     """
 
@@ -118,53 +118,49 @@ class ExperimentSpec:
     solver_defaults: InitVar[Optional[dict]] = None
 
     def __post_init__(self, solver_defaults):
-        if self.example not in EXAMPLES:
+        check_field_types(self)
+        if self.example not in SCALE_PRESETS:
             raise ValueError(f"unknown example {self.example!r}")
         if self.conditioning not in CONDITIONINGS:
             raise ValueError(f"unknown conditioning {self.conditioning!r}")
-        if min(self.n, self.q, self.t, self.m) < 1:
-            raise ValueError("dimensions must be positive")
+        for name in ("n", "q", "t", "m"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"field {name!r} must be a positive integer")
+        coordinates = self.q * self.t if self.example == "matrix_lp" else self.q
+        if self.m > coordinates:
+            raise ValueError(f"m must not exceed the {coordinates} coordinates, got {self.m}")
+        if self.sparsity < 0 or (self.sparsity >= 1 and self.sparsity % 1):
+            raise ValueError("sparsity must be a fraction in [0, 1) or a whole count")
         if self.nnz() >= self.q:
             raise ValueError("sparsity must be less than q")
-        self.solvers = [
-            s if isinstance(s, SolverEntry) else SolverEntry(**s) for s in self.solvers
-        ]
-        if not self.solvers:
-            self.solvers = [SolverEntry(algo=a) for a in DEFAULT_SOLVERS[self.example]]
-        if solver_defaults:
-            self.solvers = [
-                dataclasses.replace(e, config={**solver_defaults, **e.config})
-                for e in self.solvers
-            ]
+        make_penalty(self)
+        if not isinstance(self.solvers, list):
+            raise ValueError(f"solvers must be a list, got {self.solvers!r}")
+        rows = self.solvers or [{"algo": a} for a in DEFAULT_SOLVERS[self.example]]
+        self.solvers = [s if isinstance(s, SolverEntry) else SolverEntry(**s) for s in rows]
         if self.example != "matrix_lp" and any(e.algo == "bpiree-lp" for e in self.solvers):
             raise ValueError("bpiree-lp requires example 'matrix_lp'")
         labels = [e.label for e in self.solvers]
         if len(set(labels)) != len(labels):
             raise ValueError("solver labels must be unique; set 'label' per entry")
-        for entry in self.solvers:
-            unknown = set(entry.config) - SOLVER_FIELDS
+        for i, entry in enumerate(self.solvers):
             try:
-                if unknown:
-                    raise ValueError(f"unknown config field {sorted(unknown)[0]!r}")
-                config = make_solver_config(self, entry)
-                config.validate()
+                config = solver_config(
+                    _harness_defaults(self, entry), solver_defaults, entry.config)
                 if not config.record_trace:
-                    raise ValueError(
-                        "record_trace must be true: compare reads F_final and "
-                        "the f_gap curves from the trace"
-                    )
-            except (TypeError, ValueError) as exc:
+                    raise ValueError("record_trace must be true: compare reads F_final and "
+                                     "the f_gap curves from the trace")
+            except ValueError as exc:
                 raise ValueError(f"solver {entry.label!r}: {exc}") from None
+            if solver_defaults:
+                self.solvers[i] = dataclasses.replace(
+                    entry, config={**solver_defaults, **entry.config})
 
     def nnz(self) -> int:
         """Planted nonzeros (per column for the matrix example)."""
         if isinstance(self.sparsity, float) and self.sparsity < 1:
             return max(1, round(self.sparsity * self.q))
         return int(self.sparsity)
-
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        return d
 
 
 def desk_spec(example: str, seed: int = 0, **overrides) -> ExperimentSpec:
@@ -203,14 +199,20 @@ def gen_gaussian_sensing(spec: ExperimentSpec):
     return A, b, x_true
 
 
+def check_ill_shape(spec: ExperimentSpec) -> None:
+    """Raise ``ValueError`` if ``spec`` asks for the ill-conditioned log_ls
+    operator with ``n > q``, which :func:`gen_illconditioned` cannot build."""
+    if spec.example == "log_ls" and spec.conditioning == "ill" and spec.n > spec.q:
+        raise ValueError("ill-conditioned generator requires n <= q")
+
+
 def gen_illconditioned(spec: ExperimentSpec) -> np.ndarray:
     """Sensing matrix ``U diag(sigma) V^T`` with ``sigma_i = 1e-4 + (i-1)/10``.
 
     ``U`` (n x n) and ``V`` (q x n) come from QR orthonormalization of
     seeded Gaussian matrices; requires ``n <= q``.
     """
-    if spec.n > spec.q:
-        raise ValueError("ill-conditioned generator requires n <= q")
+    check_ill_shape(spec)
     rng = np.random.default_rng(spec.seed)
     sigma = 1e-4 + np.arange(spec.n) / 10.0
     U, _ = np.linalg.qr(rng.standard_normal((spec.n, spec.n)))
@@ -238,6 +240,13 @@ def gen_matrix_problem(spec: ExperimentSpec):
     return A, B, X_true, partition
 
 
+def make_penalty(spec: ExperimentSpec):
+    """The example's penalty; its constructor checks lam, eps_bar and p."""
+    if spec.example == "log_ls":
+        return LogPenalty(lam=spec.lam, eps_bar=spec.eps_bar)
+    return SmoothedLp(lam=spec.lam, p=spec.p)
+
+
 def build_problem(spec: ExperimentSpec):
     """Materialize (Problem, x_true) for a spec; x_true is flattened column-major."""
     if spec.example == "log_ls":
@@ -248,14 +257,11 @@ def build_problem(spec: ExperimentSpec):
             b = A @ x_true + spec.noise_scale * rng.standard_normal(spec.n)
         else:
             A, b, x_true = gen_gaussian_sensing(spec)
-        loss = LeastSquares(A, b)
-        penalty = LogPenalty(lam=spec.lam, eps_bar=spec.eps_bar)
         partition = BlockPartition.contiguous(spec.q, spec.m)
-        return Problem(loss, penalty, partition), x_true
+        return Problem(LeastSquares(A, b), make_penalty(spec), partition), x_true
     A, B, X_true, partition = gen_matrix_problem(spec)
     loss = MatrixLeastSquares(A, B)
-    penalty = SmoothedLp(lam=spec.lam, p=spec.p)
-    return Problem(loss, penalty, partition), X_true.ravel(order="F")
+    return Problem(loss, make_penalty(spec), partition), X_true.ravel(order="F")
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +287,6 @@ def rel_err(x, ref) -> float:
 # the comparison harness
 # ---------------------------------------------------------------------------
 
-# Benchmark defaults for the block solvers: raw restarted momentum guarded
-# by the monotone safeguard.
-_BPIREE_HARNESS_DEFAULTS = dict(momentum="fista", record_trace=True)
-_BASELINE_HARNESS_DEFAULTS = dict(record_trace=True)
-
-
 ALGORITHMS = {
     "bpiree": solve,
     "bpiree-lp": solve_lp,
@@ -298,16 +298,34 @@ ALGORITHMS = {
 }
 
 
+def solver_config(*sections) -> SolverConfig:
+    """The checked ``SolverConfig`` of a run: ``sections`` are JSON objects
+    of SolverConfig fields, or None where absent; a later one wins, and a
+    field none sets keeps its default.  Raises ``ValueError`` naming the
+    first bad section, key or field."""
+    merged = {}
+    for section in (s for s in sections if s is not None):
+        if not isinstance(section, dict):
+            raise ValueError(f"solver config must be an object, got {section!r}")
+        unknown = set(section) - SOLVER_FIELDS
+        if unknown:
+            raise ValueError(f"unknown solver config field {sorted(unknown)[0]!r}")
+        merged.update(section)
+    config = SolverConfig(**merged)
+    config.validate()
+    return config
+
+
+def _harness_defaults(spec: ExperimentSpec, entry: SolverEntry) -> dict:
+    """What a comparison row takes from its spec; the block solvers run raw
+    restarted momentum guarded by the monotone safeguard."""
+    momentum = {"momentum": "fista"} if entry.algo.startswith("bpiree") else {}
+    return dict(seed=spec.seed, mu=spec.mu, record_trace=True, **momentum)
+
+
 def make_solver_config(spec: ExperimentSpec, entry: SolverEntry) -> SolverConfig:
-    """Solver config for one comparison row: spec seed and harness
-    defaults, overridden by the row's config."""
-    base = dict(seed=spec.seed, mu=spec.mu, tol=1e-4)
-    if entry.algo.startswith("bpiree"):
-        base.update(_BPIREE_HARNESS_DEFAULTS)
-    else:
-        base.update(_BASELINE_HARNESS_DEFAULTS)
-    base.update(entry.config)
-    return SolverConfig(**base)
+    """Solver config of one comparison row: harness defaults, then the row's config."""
+    return solver_config(_harness_defaults(spec, entry), entry.config)
 
 
 def run_algorithm(algo: str, problem: Problem, config: SolverConfig, x0, callback=None):
@@ -466,7 +484,7 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
         )
 
     return ComparisonReport(
-        spec=spec.to_dict(),
+        spec=dataclasses.asdict(spec),
         reference=ref.label,
         results=results,
         curves=curves,

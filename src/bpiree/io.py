@@ -52,7 +52,8 @@ LP_TRACE_EXTRA = ["eps_min", "eps_max", "support_size", "sign_fixed"]
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temporary file in the target directory, then rename.
 
-    Guarantees no partial file is left behind on failure.
+    Guarantees no partial file is left behind on failure.  The file gets
+    the mode a plain ``open`` would give it, 0o666 less the umask.
     """
     _atomic_write(path, text, "w")
 
@@ -63,6 +64,9 @@ def _atomic_write(path: str, data, mode: str) -> None:
     try:
         with os.fdopen(fd, mode) as f:
             f.write(data)
+        umask = os.umask(0)  # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp created the file 0o600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -126,17 +130,15 @@ def load_problem(path: str):
     else:
         A = np.asarray(A, dtype=np.float64)
     b = np.asarray(doc["b"], dtype=np.float64)
-    t = int(doc.get("t", 1))
+    t, blocks = doc.get("t", 1), doc["blocks"]
+    if type(t) is not int or t < 1:  # a bool is no column count
+        raise ValueError(f"t must be a positive integer, got {t!r}")
+    if not isinstance(blocks, list) or not all(
+            isinstance(blk, list) and all(type(i) is int for i in blk) for blk in blocks):
+        raise ValueError("blocks must be lists of integer indices")
     penalty = penalty_from_dict(doc["penalty"])
-    if t > 1:
-        loss = MatrixLeastSquares(A, b.reshape(-1, t, order="F"))
-    else:
-        loss = LeastSquares(A, b)
-    partition = BlockPartition(
-        blocks=tuple(np.asarray(blk, dtype=np.intp) for blk in doc["blocks"]),
-        n=loss.dim,
-    )
-    problem = Problem(loss, penalty, partition)
+    loss = MatrixLeastSquares(A, b.reshape(-1, t, order="F")) if t > 1 else LeastSquares(A, b)
+    problem = Problem(loss, penalty, BlockPartition(blocks=tuple(blocks), n=loss.dim))
     x_true = doc.get("x_true")
     if x_true is not None:
         x_true = np.asarray(x_true, dtype=np.float64)

@@ -17,8 +17,9 @@ import functools
 import logging
 import math
 import numbers
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import List, Optional
 
@@ -59,11 +60,27 @@ EPS_FLOOR = 1e-100
 MOMENTUM_MODES = ("fista_capped", "fista", "bound", "none")
 SCHEDULES = ("cyclic", "shuffled")
 
-# SolverConfig fields by type, for SolverConfig.validate
-_INT_FIELDS = ("max_iter", "seed", "fista_restart_N", "support_window")
-_REAL_FIELDS = ("gamma", "delta", "tol", "mu", "eps0")
-_BOOL_FIELDS = ("safeguard", "record_trace", "record_residual", "check_descent")
-_STR_FIELDS = ("schedule", "momentum")
+# config field annotation -> (what the value must be, the test of it); the
+# float test compares, as math.isfinite raises on ints too large for a float
+_FIELD_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "float": ("a finite number", lambda v: isinstance(v, numbers.Real)
+              and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def check_field_types(obj) -> None:
+    """Raise ``ValueError`` naming the first field of dataclass ``obj``
+    whose value does not fit its annotation: ``int`` takes integers but not
+    bools, ``float`` finite reals but not bools, ``bool`` and ``str`` exactly
+    that type.  Fields of other annotations are not checked."""
+    for f in fields(obj):
+        what, fits = _FIELD_TYPES.get(getattr(f.type, "__name__", f.type), (None, None))
+        value = getattr(obj, f.name)
+        if fits is not None and not fits(value):
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")
 
 
 class SolveStatus(str, Enum):
@@ -114,45 +131,22 @@ class SolverConfig:
 
     def validate(self) -> None:
         """Raise ``ValueError`` naming the first field of the wrong type
-        or out of range.  Integer fields take ints, not bools; real fields
-        take finite ints or floats."""
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name in _BOOL_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ValueError(f"{name} must be true or false, got {value!r}")
-        for name in _STR_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, str):
-                raise ValueError(f"{name} must be a string, got {value!r}")
+        (see :func:`check_field_types`) or out of range."""
+        check_field_types(self)
         if not self.gamma > 1.0:
             raise ValueError("gamma must exceed 1")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError("mu must lie in (0, 1)")
-        if self.eps0 <= 0.0:
-            raise ValueError("eps0 must be positive")
+        for name in ("delta", "mu"):
+            if not 0.0 < getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1)")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.momentum not in MOMENTUM_MODES:
             raise ValueError(f"unknown momentum mode {self.momentum!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.fista_restart_N < 1:
-            raise ValueError("fista_restart_N must be positive")
-        if self.support_window < 1:
-            raise ValueError("support_window must be positive")
+        for name in ("max_iter", "tol", "eps0", "fista_restart_N", "support_window"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass

@@ -12,6 +12,41 @@ import pytest
 from bpiree.cli import main
 
 
+# Spec fields a desk config must not take: a wrong type (a bool sparsity
+# too), a penalty parameter out of range, m beyond the coordinates, the
+# ill-conditioned shape with n > q, a negative sparsity or seed.
+BAD_SPEC_SETS = [
+    ("log_ls", ["eps_bar=-1"]),
+    ("log_ls", ['lam="abc"']),
+    ("log_ls", ['noise_scale="a"']),
+    ("log_ls", ["m=2.5"]),
+    ("log_ls", ["m=1000"]),
+    ("log_ls", ["n=400", 'conditioning="ill"']),
+    ("log_ls", ["sparsity=true"]),
+    ("log_ls", ["sparsity=-3"]),
+    ("log_ls", ["seed=-1"]),
+    ("matrix_lp", ["p=1.5"]),
+]
+
+
+def assert_config_error(captured, out):
+    """Exit 2 came with one ``config error:`` line, no output and no file."""
+    assert captured.err.startswith("config error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def run_bad_spec(command, tmp_path, example, sets):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"example": example}))
+    out = tmp_path / "out.json"
+    argv = [command, "--config", str(cfg), "--scale", "desk", "--out", str(out)]
+    for item in sets:
+        argv += ["--set", item]
+    return main(argv), out
+
+
 def write_config(tmp_path, name="cfg.json", **fields):
     base = dict(example="log_ls", n=20, q=40, sparsity=3, seed=1)
     base.update(fields)
@@ -62,6 +97,12 @@ class TestGenerate:
         doc = json.loads(open(out).read())
         assert len(doc["b"]) == 25
 
+    @pytest.mark.parametrize("example,sets", BAD_SPEC_SETS)
+    def test_bad_spec_field_exits_two_without_instance(self, tmp_path, capsys, example, sets):
+        code, out = run_bad_spec("generate", tmp_path, example, sets)
+        assert code == 2
+        assert_config_error(capsys.readouterr(), out)
+
     def test_config_from_set_and_scale_alone(self, tmp_path):
         # a config can be assembled entirely from --set plus a scale preset
         out = str(tmp_path / "inst.json")
@@ -106,6 +147,18 @@ class TestSolve:
         code = main(["solve", instance, "--algo", "bpiree", "--set", 'solver.max_iter="abc"'])
         assert code == 2
         assert "max_iter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["3", "[1]", '"x"'])
+    def test_non_object_solver_section_exits_two(self, tmp_path, instance, capsys, section):
+        capsys.readouterr()
+        trace = tmp_path / "trace.csv"
+        code = main(["solve", instance, "--algo", "bpiree", "--set", f"solver={section}",
+                     "--trace", str(trace)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: solver config must be an object, got {json.loads(section)!r}\n")
+        assert_config_error(captured, trace)
 
     def test_trace_written(self, tmp_path, instance):
         trace = str(tmp_path / "trace.csv")
@@ -246,6 +299,26 @@ class TestNonFiniteInstance:
         err = capsys.readouterr().err
         assert "malformed instance" in err and message in err
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("blocks", 0.5, "blocks must be lists of integer indices"),
+        ("blocks", True, "blocks must be lists of integer indices"),
+        ("t", True, "t must be a positive integer, got True"),
+        ("t", 1.9, "t must be a positive integer, got 1.9"),
+        ("t", 0, "t must be a positive integer, got 0"),
+    ])
+    def test_non_integer_index_exits_two(self, doc_path, field, value, message, capsys):
+        # none of these may be rounded into a valid instance
+        doc = json.loads(open(doc_path).read())
+        if field == "blocks":
+            doc["blocks"][0][0] = value
+        else:
+            doc["t"] = value
+        with open(doc_path, "w") as f:
+            f.write(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["solve", doc_path, "--algo", "bpiree"]) == 2
+        assert capsys.readouterr().err == f"malformed instance: {message}\n"
+
     def test_inf_in_blob_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, blob=True)
         inst = str(tmp_path / "inst.json")
@@ -293,7 +366,8 @@ class TestCompare:
         assert [r["iterations"] for r in rows] == [1, 2]
 
     @pytest.mark.parametrize("rows,message", [
-        ([{"algo": "bpiree", "config": {"bogus": 1}}], "solver 'bpiree': unknown config field 'bogus'"),
+        ([{"algo": "bpiree", "config": {"bogus": 1}}],
+         "solver 'bpiree': unknown solver config field 'bogus'"),
         ([{"algo": "bpiree"}, {"algo": "irl1", "config": {"momentum": "xyz"}}],
          "solver 'irl1': unknown momentum mode 'xyz'"),
         ([{"algo": "bpiree", "config": {"momentum": "xyz"}}, {"algo": "irl1"}],
@@ -307,6 +381,22 @@ class TestCompare:
         assert captured.err == f"config error: {message}\n"
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("example,sets", BAD_SPEC_SETS)
+    def test_bad_spec_field_exits_two_without_report(self, tmp_path, capsys, example, sets):
+        code, out = run_bad_spec("compare", tmp_path, example, sets)
+        assert code == 2
+        assert_config_error(capsys.readouterr(), out)
+
+    @pytest.mark.parametrize("section", ["3", "[1]", '"x"'])
+    def test_non_object_solver_section_exits_two(self, tmp_path, capsys, section):
+        out = tmp_path / "r.json"
+        code = main(["compare", "--config", write_config(tmp_path),
+                     "--set", f"solver={section}", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "solver config must be an object" in captured.err
+        assert_config_error(captured, out)
 
     def test_record_trace_off_exits_two_without_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -11,6 +11,7 @@ from bpiree import baselines, experiments, solver
 from bpiree.experiments import (
     ExperimentSpec,
     SolverEntry,
+    check_ill_shape,
     desk_spec,
     gen_gaussian_sensing,
     gen_illconditioned,
@@ -140,6 +141,55 @@ class TestSpecValidation:
             desk_spec("log_ls", solvers=[{"algo": "bpiree-lp"}, {"algo": "irl1"}])
         spec = desk_spec("matrix_lp", solvers=[{"algo": "bpiree-lp"}])
         assert [e.algo for e in spec.solvers] == ["bpiree-lp"]
+
+    @pytest.mark.parametrize("example,fields,message", [
+        ("log_ls", dict(eps_bar=-1), "eps_bar must be finite and positive"),
+        ("log_ls", dict(lam="abc"), "lam must be a finite number, got 'abc'"),
+        ("log_ls", dict(noise_scale="a"), "noise_scale must be a finite number, got 'a'"),
+        ("log_ls", dict(m=2.5), "m must be an integer, got 2.5"),
+        ("log_ls", dict(m=301), "m must not exceed the 300 coordinates, got 301"),
+        ("matrix_lp", dict(m=1001), "m must not exceed the 1000 coordinates, got 1001"),
+        ("log_ls", dict(sparsity=True), "sparsity must be a finite number, got True"),
+        ("log_ls", dict(sparsity=-3), "sparsity must be a fraction in [0, 1) or a whole count"),
+        ("log_ls", dict(sparsity=2.5), "sparsity must be a fraction in [0, 1) or a whole count"),
+        ("log_ls", dict(seed=-1), "solver 'bpiree': seed must be nonnegative"),
+        ("log_ls", dict(n=0), "field 'n' must be a positive integer"),
+        ("matrix_lp", dict(p=1.5), "p must lie in (0, 1)"),
+        ("matrix_lp", dict(lam=-1.0), "lam must be finite and nonnegative"),
+    ])
+    def test_build_preconditions_checked_up_front(self, example, fields, message):
+        with pytest.raises(ValueError) as info:
+            desk_spec(example, **fields)
+        assert str(info.value) == message
+
+    def test_penalty_of_the_other_example_not_checked(self):
+        # build_problem never makes it, so its parameters do not matter
+        desk_spec("log_ls", p=1.5)
+        desk_spec("matrix_lp", eps_bar=-1.0)
+
+    def test_ill_shape(self):
+        spec = ExperimentSpec(example="log_ls", n=6, q=3, conditioning="ill")
+        with pytest.raises(ValueError, match="n <= q"):
+            check_ill_shape(spec)
+        check_ill_shape(ExperimentSpec(example="log_ls", n=6, q=3))
+        check_ill_shape(ExperimentSpec(example="matrix_lp", n=6, q=3, conditioning="ill"))
+
+    @pytest.mark.parametrize("field,value", [
+        ("example", 3), ("n", "10"), ("q", 20.0), ("t", True), ("m", None),
+        ("sparsity", "2"), ("noise_scale", math.nan), ("conditioning", 1),
+        ("seed", 1.5), ("lam", None), ("eps_bar", math.inf), ("p", False),
+        ("mu", "0.1"), ("lam", 10**400), ("solvers", None), ("solvers", {"algo": "bpiree"}),
+    ])
+    def test_wrong_type_names_the_field(self, field, value):
+        fields = dict(example="log_ls", n=10, q=20, sparsity=2)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            ExperimentSpec(**fields)
+
+    @pytest.mark.parametrize("section", [3, [1], "x", 0])
+    def test_non_object_solver_defaults_rejected(self, section):
+        with pytest.raises(ValueError, match="solver config must be an object"):
+            desk_spec("log_ls", solver_defaults=section)
 
     def test_same_algo_distinct_labels_allowed(self):
         spec = ExperimentSpec(

@@ -135,6 +135,20 @@ class TestAtomicWrite:
         assert open(path).read() == "old"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_file_mode_follows_umask(self, tmp_path, umask, mode):
+        # the mode a plain open() gives, not mkstemp's 0o600
+        old = os.umask(umask)
+        try:
+            path = str(tmp_path / "out.txt")
+            atomic_write_text(path, "hello")
+            prob, _ = build_problem(desk_spec("log_ls", seed=0, n=6, q=12, sparsity=2))
+            save_problem(str(tmp_path / "inst.json"), prob, blob=True)
+        finally:
+            os.umask(old)
+        for name in ("out.txt", "inst.json", "inst.json.A.bin"):
+            assert os.stat(tmp_path / name).st_mode & 0o777 == mode
+
     def test_failed_blob_write_keeps_old_files(self, tmp_path, monkeypatch):
         prob, _ = build_problem(desk_spec("log_ls", seed=0, n=6, q=12, sparsity=2))
         path = str(tmp_path / "inst.json")
