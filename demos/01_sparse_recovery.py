@@ -25,7 +25,9 @@ config = SolverConfig(momentum="fista", record_trace=True)
 x, trace, status = solve(problem, config, np.zeros(problem.loss.dim))
 
 print(f"\nstatus: {status.value} after {trace.iterations} iterations")
-print(f"objective: {trace.records[-1].F:.6e}")
+# the trace is a table of columns, one value per iteration
+cols = trace.columns
+print(f"objective: {cols['F'][-1]:.6e}")
 print(f"relative error vs planted signal: {rel_err(x, x_true):.3e}")
 print(f"recovered support size: {np.count_nonzero(x)} (planted {spec.nnz()})")
 
@@ -33,11 +35,11 @@ residual = stationarity_residual(problem, x)
 print(f"stationarity residual: {residual:.3e}")
 
 print("\nobjective trace (every 20th iteration):")
-for rec in trace.records[::20]:
-    print(f"  k={rec.k:4d}  F={rec.F:.8e}  step_rel={rec.step_rel:.2e}  "
-          f"beta={rec.beta_used:.3f}")
+for k, F, step_rel, beta in list(zip(cols["k"], cols["F"], cols["step_rel"],
+                                     cols["beta"]))[::20]:
+    print(f"  k={k:4d}  F={F:.8e}  step_rel={step_rel:.2e}  beta={beta:.3f}")
 
 # The safeguard retries an iteration with zero momentum whenever the
 # extrapolated step increased the objective; count how often that happened.
-retries = sum(rec.retried for rec in trace.records)
+retries = sum(cols["retried"])
 print(f"\nsafeguard retries: {retries} of {trace.iterations} iterations")

@@ -24,10 +24,12 @@ print(f"\nstatus: {status.value} after {trace.iterations} iterations")
 print(f"relative error vs planted matrix: {rel_err(x, x_true):.3e}")
 
 print("\nsupport evolution (every 25th iteration):")
-for rec in trace.records[::25]:
-    print(f"  k={rec.k:4d}  support={rec.support_size:4d}  "
-          f"eps range [{rec.eps_min:.2e}, {rec.eps_max:.2e}]  "
-          f"sign_fixed={bool(rec.sign_fixed)}")
+cols = trace.columns  # lp runs add eps_min, eps_max, support_size, sign_fixed
+rows = zip(cols["k"], cols["support_size"], cols["eps_min"], cols["eps_max"],
+           cols["sign_fixed"])
+for k, support_size, eps_min, eps_max, sign_fixed in list(rows)[::25]:
+    print(f"  k={k:4d}  support={support_size:4d}  "
+          f"eps range [{eps_min:.2e}, {eps_max:.2e}]  sign_fixed={sign_fixed}")
 
 print(f"\nterminal sign pattern constant since iteration {trace.support.K_observed}"
       f" (fixed over the monitoring window: {trace.support.fixed})")

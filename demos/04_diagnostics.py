@@ -66,3 +66,6 @@ with tempfile.TemporaryDirectory() as tmp:
 print(f"\ntrace CSV (written to a temporary directory): {len(lines) - 1} rows")
 print("header:", lines[0])
 print("first row:", lines[1])
+# the header is the trace's column names, in order, then algo
+print("header == trace columns + algo:", lines[0] == ",".join([*trace.columns, "algo"]))
+print(f"largest momentum used (beta column): {max(trace.columns['beta']):.3f}")

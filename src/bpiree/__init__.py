@@ -28,13 +28,11 @@ from .prox import (
 from .momentum import fista_momentum
 from .solver import (
     CertificateRecord,
-    LpTraceRecord,
     SolveStatus,
     SolverConfig,
     SolverState,
     SupportReport,
     Trace,
-    TraceRecord,
     bpiree_step,
     choose_block,
     descent_certificate,
@@ -84,12 +82,10 @@ __all__ = [
     "prox_weighted_abs",
     "fista_momentum",
     "CertificateRecord",
-    "LpTraceRecord",
     "SolveStatus",
     "SolverConfig",
     "SolverState",
     "Trace",
-    "TraceRecord",
     "bpiree_step",
     "choose_block",
     "descent_certificate",

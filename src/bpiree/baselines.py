@@ -16,7 +16,7 @@ without per-block extrapolation state:
 
 Each method is a step function run by the block solver's loop
 (``solver._iterate``), so all of them share its stopping rule, trace
-records and failure handling.  A baseline stops on the first small step
+columns and failure handling.  A baseline stops on the first small step
 (one iteration, or one sweep), reports the objective with the smoothing
 factors held at ``eps0`` and produces no descent certificates.
 """

@@ -34,8 +34,9 @@ from .model import (
     MatrixLeastSquares,
     Problem,
     SmoothedLp,
+    check_field_types,
 )
-from .solver import SolveStatus, SolverConfig, _norm, check_field_types, solve
+from .solver import SolveStatus, SolverConfig, _norm, solve
 
 __all__ = [
     "ExperimentSpec",
@@ -84,10 +85,27 @@ class SolverEntry:
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.algo not in ALGORITHMS:
             raise ValueError(f"unknown algo {self.algo!r}")
         if self.label is None:
             self.label = self.algo
+
+
+ENTRY_FIELDS = {f.name for f in dataclasses.fields(SolverEntry)}
+
+
+def _solver_entry(row) -> SolverEntry:
+    """The ``SolverEntry`` of a compare row: a ``SolverEntry``, or an object
+    of its fields whose values fit their types."""
+    if isinstance(row, SolverEntry):
+        return row
+    if not isinstance(row, dict):
+        raise ValueError(f"must be an object, got {row!r}")
+    unknown = set(row) - ENTRY_FIELDS
+    if unknown:
+        raise ValueError(f"unknown field {sorted(unknown)[0]!r}")
+    return SolverEntry(**row)
 
 
 @dataclass
@@ -137,7 +155,12 @@ class ExperimentSpec:
         if not isinstance(self.solvers, list):
             raise ValueError(f"solvers must be a list, got {self.solvers!r}")
         rows = self.solvers or [{"algo": a} for a in DEFAULT_SOLVERS[self.example]]
-        self.solvers = [s if isinstance(s, SolverEntry) else SolverEntry(**s) for s in rows]
+        self.solvers = []
+        for i, row in enumerate(rows):
+            try:
+                self.solvers.append(_solver_entry(row))
+            except ValueError as exc:
+                raise ValueError(f"solver row {i}: {exc}") from None
         if self.example != "matrix_lp" and any(e.algo == "bpiree-lp" for e in self.solvers):
             raise ValueError("bpiree-lp requires example 'matrix_lp'")
         labels = [e.label for e in self.solvers]
@@ -415,14 +438,20 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
+def _final_F(trace) -> float:
+    """The last traced objective value; NaN for no trace or no rows."""
+    F = trace.columns["F"] if trace is not None else []
+    return F[-1] if F else math.nan
+
+
 def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
     """Run every configured solver on one shared instance from ``x0 = 0``.
 
     The first block-solver entry (or the first entry) is the reference and
     runs first.  Every other solver then runs once, tracking its distance
     to the reference output on the way; only the reference runs a second
-    time, for its own curve.  Reported wall times are those of a row's
-    single run, so they include the curve tracking, except for the
+    time, untraced, for its own curve.  Reported wall times are those of a
+    row's single run, so they include the curve tracking, except for the
     reference, whose time covers its first run only.  A solver failure is
     recorded in its row, with empty curves, and does not abort the report.
     """
@@ -431,8 +460,9 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
     entries = spec.solvers
     ref = next((e for e in entries if e.algo.startswith("bpiree")), entries[0])
 
-    def run(entry, callback=None):
+    def run(entry, callback=None, record_trace=True):
         config = make_solver_config(spec, entry)
+        config.record_trace = record_trace
         t0 = time.perf_counter()
         try:
             x, trace, status = run_algorithm(entry.algo, problem, config, x0, callback=callback)
@@ -445,7 +475,7 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
     x_ref, ref_trace = ref_run[:2]
     if x_ref is None:
         raise RuntimeError(f"reference solver {ref.label} produced no iterate")
-    F_ref = ref_trace.records[-1].F if ref_trace.records else math.nan
+    F_ref = _final_F(ref_trace)
     ref_norm = float(np.linalg.norm(x_ref))
 
     results, curves = [], {}
@@ -457,14 +487,14 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
             x_rel.append(dist / ref_norm if ref_norm != 0.0 else math.inf)
 
         if entry is ref:
-            run(entry, callback=track)
+            run(entry, callback=track, record_trace=False)  # the row keeps ref_run's trace
             x, trace, status, wall = ref_run
         else:
             x, trace, status, wall = run(entry, callback=track)
         if x is None:
             curves[entry.label] = {"f_gap": [], "x_rel": []}
         else:
-            f_gap = [abs(rec.F - F_ref) for rec in trace.records]
+            f_gap = [abs(F - F_ref) for F in trace.columns["F"]]
             curves[entry.label] = {"f_gap": f_gap, "x_rel": x_rel}
         results.append(
             SolverResult(
@@ -472,11 +502,7 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
                 algo=entry.algo,
                 iterations=trace.iterations if trace is not None else 0,
                 status=status.value,
-                F_final=(
-                    trace.records[-1].F
-                    if trace is not None and trace.records
-                    else math.nan
-                ),
+                F_final=_final_F(trace),
                 rel_err_true=rel_err(x, x_true) if x is not None else math.inf,
                 rel_err_ref=rel_err(x, x_ref) if x is not None else math.nan,
                 wall_time_s=wall,

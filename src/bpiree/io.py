@@ -10,14 +10,16 @@ little-endian float64 blob, row-major), ``t`` (matrix column count, 1 for
 vector problems) and ``x_true`` (the planted signal, when known).  All
 index arrays are 0-based.
 
-Trace CSV uses the header ``k,F,step_rel,residual,beta,block,retried,wall_ns``
-(plus ``eps_min,eps_max,support_size,sign_fixed`` for lp runs and a final
-``algo`` column in merged exports); floats are written in shortest
-round-trip decimal form and booleans as 0/1.
+A trace CSV has one column per entry of ``Trace.columns``, in order:
+``k,F,step_rel,residual,beta,block,retried,wall_ns`` (plus
+``eps_min,eps_max,support_size,sign_fixed`` for smoothed-lp block runs and
+a final ``algo`` column in merged exports); floats are written in shortest
+round-trip decimal form, booleans as 0/1 and integers as decimals.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -33,7 +35,7 @@ from .model import (
     Problem,
     SmoothedLp,
 )
-from .solver import LpTraceRecord, Trace
+from .solver import Trace
 
 __all__ = [
     "atomic_write_text",
@@ -44,9 +46,6 @@ __all__ = [
     "write_trace_csv",
     "trace_csv_text",
 ]
-
-TRACE_HEADER = ["k", "F", "step_rel", "residual", "beta", "block", "retried", "wall_ns"]
-LP_TRACE_EXTRA = ["eps_min", "eps_max", "support_size", "sign_fixed"]
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -83,11 +82,12 @@ def penalty_to_dict(penalty) -> dict:
 
 
 def penalty_from_dict(d: dict):
+    """The penalty a JSON object describes; the penalty checks its parameters."""
     kind = d.get("type")
     if kind == "log":
-        return LogPenalty(lam=float(d["lam"]), eps_bar=float(d["eps_bar"]))
+        return LogPenalty(lam=d["lam"], eps_bar=d["eps_bar"])
     if kind == "lp":
-        return SmoothedLp(lam=float(d["lam"]), p=float(d["p"]))
+        return SmoothedLp(lam=d["lam"], p=d["p"])
     raise ValueError(f"unknown penalty type {kind!r}")
 
 
@@ -153,31 +153,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def trace_csv_text(records, algo: Optional[str] = None) -> str:
-    """Render trace records as CSV; ``algo`` appends a constant last column."""
-    is_lp = bool(records) and isinstance(records[0], LpTraceRecord)
-    header = TRACE_HEADER + (LP_TRACE_EXTRA if is_lp else [])
+def trace_csv_text(trace: Trace, algo: Optional[str] = None) -> str:
+    """Render a trace's columns as CSV; ``algo`` appends a constant last column."""
+    columns = dict(trace.columns)
     if algo is not None:
-        header = header + ["algo"]
-    lines = [",".join(header)]
-    for rec in records:
-        row = [
-            rec.k,
-            rec.F,
-            rec.step_rel,
-            rec.residual,
-            rec.beta_used,
-            rec.block,
-            rec.retried,
-            rec.wall_ns,
-        ]
-        if is_lp:
-            row += [rec.eps_min, rec.eps_max, rec.support_size, rec.sign_fixed]
-        if algo is not None:
-            row.append(algo)
-        lines.append(",".join(_fmt(v) for v in row))
+        columns["algo"] = itertools.repeat(algo)
+    lines = [",".join(columns)]
+    lines += (",".join(map(_fmt, row)) for row in zip(*columns.values()))
     return "\n".join(lines) + "\n"
 
 
 def write_trace_csv(path: str, trace: Trace, algo: Optional[str] = None) -> None:
-    atomic_write_text(path, trace_csv_text(trace.records, algo=algo))
+    atomic_write_text(path, trace_csv_text(trace, algo=algo))

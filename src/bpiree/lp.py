@@ -22,9 +22,9 @@ __all__ = [
 def solve_lp(problem: Problem, config: SolverConfig, x0, callback=None):
     """Run the block solver on a smoothed-lp problem.
 
-    Returns ``(x_final, eps_final, trace, status)``.  The trace records
-    carry the extra smoothing/support columns and ``trace.support`` holds
-    the terminal sign-pattern report.
+    Returns ``(x_final, eps_final, trace, status)``.  The trace has the
+    extra smoothing/support columns and ``trace.support`` holds the
+    terminal sign-pattern report.
     """
     if not isinstance(problem.penalty, SmoothedLp):
         raise ValueError("solve_lp requires a SmoothedLp penalty")

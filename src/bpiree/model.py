@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import numbers
+import sys
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +40,7 @@ __all__ = [
     "SmoothedLp",
     "CustomPenalty",
     "Problem",
+    "check_field_types",
     "eval_objective",
     "spectral_norm_sq",
 ]
@@ -435,6 +438,31 @@ def _check_block_indices(idx, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# dataclass field annotation -> (what the value must be, the test of it); the
+# float test compares, as math.isfinite raises on ints too large for a float
+_FIELD_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "float": ("a finite number", lambda v: isinstance(v, numbers.Real)
+              and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "Optional[str]": ("a string", lambda v: v is None or isinstance(v, str)),
+}
+
+
+def check_field_types(obj) -> None:
+    """Raise ``ValueError`` naming the first field of dataclass ``obj``
+    whose value does not fit its annotation: ``int`` takes integers but not
+    bools, ``float`` finite reals but not bools, ``bool`` and ``str`` exactly
+    that type, ``Optional[str]`` None or a string.  Fields of other
+    annotations are not checked."""
+    for f in fields(obj):
+        what, fits = _FIELD_TYPES.get(getattr(f.type, "__name__", f.type), (None, None))
+        value = getattr(obj, f.name)
+        if fits is not None and not fits(value):
+            raise ValueError(f"{f.name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LogPenalty:
     """Log penalty ``h(t) = log(t + eps_bar) - log(eps_bar)`` with ``g = |.|``.
@@ -449,6 +477,7 @@ class LogPenalty:
     g_subgrad = None
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0 <= self.lam < np.inf:
             raise ValueError("lam must be finite and nonnegative")
         if not 0 < self.eps_bar < np.inf:
@@ -485,6 +514,7 @@ class SmoothedLp:
     g_subgrad = None
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0 <= self.lam < np.inf:
             raise ValueError("lam must be finite and nonnegative")
         if not 0.0 < self.p < 1.0:

@@ -16,16 +16,14 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import numbers
-import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from .model import Problem, SmoothedLp
+from .model import Problem, SmoothedLp, check_field_types
 from .momentum import fista_momentum
 from .prox import NumericalFailure, block_prox_step
 
@@ -34,8 +32,6 @@ __all__ = [
     "SolverConfig",
     "SolverState",
     "SupportReport",
-    "TraceRecord",
-    "LpTraceRecord",
     "CertificateRecord",
     "Trace",
     "choose_block",
@@ -59,29 +55,6 @@ EPS_FLOOR = 1e-100
 
 MOMENTUM_MODES = ("fista_capped", "fista", "bound", "none")
 SCHEDULES = ("cyclic", "shuffled")
-
-# config field annotation -> (what the value must be, the test of it); the
-# float test compares, as math.isfinite raises on ints too large for a float
-_FIELD_TYPES = {
-    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
-    "float": ("a finite number", lambda v: isinstance(v, numbers.Real)
-              and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-}
-
-
-def check_field_types(obj) -> None:
-    """Raise ``ValueError`` naming the first field of dataclass ``obj``
-    whose value does not fit its annotation: ``int`` takes integers but not
-    bools, ``float`` finite reals but not bools, ``bool`` and ``str`` exactly
-    that type.  Fields of other annotations are not checked."""
-    for f in fields(obj):
-        what, fits = _FIELD_TYPES.get(getattr(f.type, "__name__", f.type), (None, None))
-        value = getattr(obj, f.name)
-        if fits is not None and not fits(value):
-            raise ValueError(f"{f.name} must be {what}, got {value!r}")
-
 
 class SolveStatus(str, Enum):
     CONVERGED = "Converged"
@@ -107,7 +80,7 @@ class SolverConfig:
     eps0 : initial per-coordinate smoothing factor for the lp variant.
     support_window : unchanged-sign iterations that count as a fixed support (lp).
     safeguard : redo an iteration with zero momentum if the objective rose.
-    record_trace : collect one TraceRecord per iteration.
+    record_trace : fill the trace's columns, one row per iteration.
     record_residual : also compute the stationarity residual per iteration
         (one extra full gradient per iteration; off by default).
     check_descent : evaluate the per-iteration descent certificate.
@@ -150,28 +123,6 @@ class SolverConfig:
 
 
 @dataclass
-class TraceRecord:
-    """Per-iteration telemetry; ``step_rel`` uses full-vector norms."""
-
-    k: int
-    F: float
-    step_rel: float
-    residual: float
-    beta_used: float
-    block: int
-    retried: bool
-    wall_ns: int
-
-
-@dataclass
-class LpTraceRecord(TraceRecord):
-    eps_min: float = math.nan
-    eps_max: float = math.nan
-    support_size: int = 0
-    sign_fixed: bool = False
-
-
-@dataclass
 class CertificateRecord:
     k: int
     holds: bool
@@ -189,11 +140,27 @@ class SupportReport:
     sign: Optional[np.ndarray]
 
 
+# trace column names in CSV order; smoothed-lp block runs add _LP_COLUMNS
+_COLUMNS = ("k", "F", "step_rel", "residual", "beta", "block", "retried", "wall_ns")
+_LP_COLUMNS = ("eps_min", "eps_max", "support_size", "sign_fixed")
+
+
 @dataclass
 class Trace:
-    """Everything a run reports besides the final iterate."""
+    """Everything a run reports besides the final iterate.
 
-    records: List[TraceRecord] = field(default_factory=list)
+    ``columns`` maps each trace column name, in CSV order, to a list with
+    one value per recorded iteration (``record_trace``).  ``step_rel`` uses
+    full-vector norms; ``residual`` is NaN unless ``record_residual`` is
+    on; ``beta`` is the momentum the accepted step used, ``block`` the
+    block it updated (-1 for a full-vector or sweep step), ``retried``
+    whether the safeguard redid it and ``wall_ns`` its time.  On a
+    smoothed-lp block run with at least one row ``eps_min``, ``eps_max``,
+    ``support_size`` and ``sign_fixed`` follow.
+    """
+
+    columns: Dict[str, list] = field(
+        default_factory=lambda: {name: [] for name in _COLUMNS})
     certificates: List[CertificateRecord] = field(default_factory=list)
     iterations: int = 0
     final_step_rel: float = math.nan
@@ -493,31 +460,6 @@ def _sign_fixed(state, window: int) -> bool:
     return state.k > 0 and state.k - state.sign_run_start + 1 >= min(window, state.k)
 
 
-def _make_record(problem, state, config, info, wall_ns):
-    residual = math.nan
-    if config.record_residual and problem.penalty.g is None:
-        residual = stationarity_residual(problem, state.x, state.eps)
-    base = dict(
-        k=state.k,
-        F=state.F_current,
-        step_rel=info.step_rel,
-        residual=residual,
-        beta_used=info.beta_used,
-        block=info.block,
-        retried=info.retried,
-        wall_ns=wall_ns,
-    )
-    if state.sign_run_start is None:
-        return TraceRecord(**base)
-    return LpTraceRecord(
-        **base,
-        eps_min=float(state.eps.min()),
-        eps_max=float(state.eps.max()),
-        support_size=int(np.count_nonzero(state.x)),
-        sign_fixed=_sign_fixed(state, config.support_window),
-    )
-
-
 def _iterate(problem, config, state, step, window, callback=None):
     """The iteration loop every algorithm runs; returns ``(state, trace, status)``.
 
@@ -530,6 +472,9 @@ def _iterate(problem, config, state, step, window, callback=None):
     trace = Trace()
     status = SolveStatus.MAX_ITER
     small_steps = 0
+    lp = state.sign_run_start is not None
+    names = _COLUMNS + (_LP_COLUMNS if lp else ())
+    columns = [[] for _ in names]
     for _ in range(config.max_iter):
         t0 = time.perf_counter_ns() if config.record_trace else 0
         F_prev = state.F_current
@@ -540,9 +485,18 @@ def _iterate(problem, config, state, step, window, callback=None):
             status = SolveStatus.NUMERICAL_FAILURE
             break
         if config.record_trace:
-            trace.records.append(
-                _make_record(problem, state, config, info, time.perf_counter_ns() - t0)
-            )
+            wall_ns = time.perf_counter_ns() - t0
+            residual = math.nan
+            if config.record_residual and problem.penalty.g is None:
+                residual = stationarity_residual(problem, state.x, state.eps)
+            row = (state.k, state.F_current, info.step_rel, residual, info.beta_used,
+                   info.block, info.retried, wall_ns)
+            if lp:
+                row += (float(state.eps.min()), float(state.eps.max()),
+                        int(np.count_nonzero(state.x)),
+                        _sign_fixed(state, config.support_window))
+            for column, value in zip(columns, row):
+                column.append(value)
         if config.check_descent and info.L_curr is not None:
             cert = descent_certificate(
                 F_prev, state.F_current, info.L_curr,
@@ -563,8 +517,10 @@ def _iterate(problem, config, state, step, window, callback=None):
                 break
         else:
             small_steps = 0
+    if columns[0]:  # a trace without rows keeps the empty base columns
+        trace.columns = dict(zip(names, columns))
     trace.iterations = state.k
-    if state.sign_run_start is not None:
+    if lp:
         trace.support = SupportReport(
             fixed=_sign_fixed(state, config.support_window),
             K_observed=state.sign_run_start if state.k > 0 else None,

@@ -149,7 +149,7 @@ def test_criterion_3_monotonicity(example1_runs, example2_runs):
     for runs, f_idx in ((example1_runs, 3), (example2_runs, 4)):
         for seed, run in runs.items():
             trace = run[f_idx]
-            F = [rec.F for rec in trace.records]
+            F = trace.columns["F"]
             iterations += len(F)
             for a, b in zip(F, F[1:]):
                 if not b <= a + 1e-12 * (1.0 + abs(a)):
@@ -236,7 +236,7 @@ def test_criterion_8_support_fixation():
         config = bpiree_config(seed, tol=1e-8, check_descent=False)
         x, eps, trace, status = solve_lp(prob, config, np.zeros(prob.loss.dim))
         assert status is SolveStatus.CONVERGED
-        signs = [rec.sign_fixed for rec in trace.records]
+        signs = trace.columns["sign_fixed"]
         fixed_ok += trace.support.fixed and signs[-1]
         support = x != 0.0
         eps_ok += bool(np.all(eps[support] <= 0.1**5 * config.eps0))

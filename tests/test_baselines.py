@@ -24,7 +24,6 @@ from bpiree.prox import block_prox_step
 from bpiree.solver import (
     SolveStatus,
     SolverConfig,
-    TraceRecord,
     solve,
     stationarity_residual,
 )
@@ -125,7 +124,7 @@ class TestPire:
         prob, _ = build_problem(desk_spec("log_ls", seed=3))
         config = SolverConfig(record_trace=True, max_iter=400)
         _, trace, _ = pire_solve(prob, config, np.zeros(prob.loss.dim))
-        F = [rec.F for rec in trace.records]
+        F = trace.columns["F"]
         assert all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(F, F[1:]))
 
 
@@ -159,7 +158,7 @@ class TestIrl1:
         x_a, tr_a, _ = irl1_solve(prob, cfg_plain, x0)
         x_b, tr_b, _ = irl1e1_solve(prob, cfg_reset, x0)
         np.testing.assert_array_equal(x_a, x_b)
-        assert [r.F for r in tr_a.records] == [r.F for r in tr_b.records]
+        assert tr_a.columns["F"] == tr_b.columns["F"]
 
     def test_momentum_speeds_up_on_most_seeds(self):
         wins = 0
@@ -182,7 +181,7 @@ class TestSweepMethods:
         xs = {}
         for name, fn in (("pire", pire_solve), ("ps", pire_ps_solve), ("au", pire_au_solve)):
             x, trace, _ = fn(prob, cfg, x0)
-            xs[name] = (x, [r.F for r in trace.records])
+            xs[name] = (x, trace.columns["F"])
         np.testing.assert_array_equal(xs["pire"][0], xs["ps"][0])
         assert xs["pire"][1] == xs["ps"][1]
         # the sequential sweep maintains its residual incrementally, which
@@ -206,7 +205,7 @@ class TestSweepMethods:
             _, trace, status = fn(
                 prob, SolverConfig(record_trace=True, max_iter=3000), x0
             )
-            F = [rec.F for rec in trace.records]
+            F = trace.columns["F"]
             assert all(b <= a + 1e-12 * (1 + abs(a)) for a, b in zip(F, F[1:]))
 
 
@@ -330,9 +329,10 @@ class TestMatchesTranscription:
         )
         rows, k_stop, ref_status = _reference_baseline(algo, prob, config, x0)
         got = [
-            (x, rec.F.hex(), rec.step_rel.hex()) for x, rec in zip(iterates, trace.records)
+            (x, F.hex(), step_rel.hex())
+            for x, F, step_rel in zip(iterates, trace.columns["F"], trace.columns["step_rel"])
         ]
-        assert len(iterates) == len(trace.records) == len(rows)
+        assert len(iterates) == len(trace.columns["F"]) == len(rows)
         for k, (g, r) in enumerate(zip(got, rows), start=1):
             assert g == r, f"iteration {k} differs"
         assert trace.iterations == k_stop
@@ -350,14 +350,14 @@ class TestDivergence:
             )
         assert status is SolveStatus.NUMERICAL_FAILURE
         assert np.isfinite(x).all()
-        assert trace.iterations == len(trace.records) > 0
-        assert math.isfinite(trace.records[-1].F)
+        assert trace.iterations == len(trace.columns["F"]) > 0
+        assert math.isfinite(trace.columns["F"][-1])
 
 
 class TestSharedLoop:
     @pytest.mark.parametrize("fn", [pire_solve, irl1e1_solve, pire_ps_solve, pire_au_solve])
     def test_residual_column_and_no_certificates(self, fn):
-        # plain records (block -1) on an lp problem, residual column filled,
+        # plain rows (block -1) on an lp problem, residual column filled,
         # no certificates and no support report
         prob, _ = build_problem(desk_spec("matrix_lp", seed=0))
         config = SolverConfig(
@@ -369,7 +369,8 @@ class TestSharedLoop:
                          callback=lambda k, x: iterates.append(x.copy()))
         assert trace.certificates == []
         assert trace.support is None
-        assert [rec.block for rec in trace.records] == [-1] * 5
-        for rec, x in zip(trace.records, iterates):
-            assert type(rec) is TraceRecord
-            assert rec.residual == stationarity_residual(prob, x, eps)
+        assert list(trace.columns) == [
+            "k", "F", "step_rel", "residual", "beta", "block", "retried", "wall_ns"]
+        assert trace.columns["block"] == [-1] * 5
+        for residual, x in zip(trace.columns["residual"], iterates):
+            assert residual == stationarity_residual(prob, x, eps)

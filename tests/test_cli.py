@@ -282,7 +282,7 @@ class TestNonFiniteInstance:
 
     @pytest.mark.parametrize(
         "operand,message", [("A", "A has non-finite"), ("b", "b has non-finite"),
-                            ("lam", "lam must be finite")]
+                            ("lam", "lam must be a finite number, got nan")]
     )
     def test_json_nan_exits_two(self, doc_path, operand, message, capsys):
         doc = json.loads(open(doc_path).read())
@@ -318,6 +318,32 @@ class TestNonFiniteInstance:
         capsys.readouterr()
         assert main(["solve", doc_path, "--algo", "bpiree"]) == 2
         assert capsys.readouterr().err == f"malformed instance: {message}\n"
+
+    @pytest.mark.parametrize("penalty,message", [
+        ({"type": "log", "lam": True, "eps_bar": 0.1}, "lam must be a finite number, got True"),
+        ({"type": "log", "lam": "0.5", "eps_bar": 0.1},
+         "lam must be a finite number, got '0.5'"),
+        ({"type": "log", "lam": 0.5, "eps_bar": False},
+         "eps_bar must be a finite number, got False"),
+        ({"type": "log", "lam": 0.5, "eps_bar": "0.1"},
+         "eps_bar must be a finite number, got '0.1'"),
+        ({"type": "lp", "lam": 0.5, "p": True}, "p must be a finite number, got True"),
+        ({"type": "lp", "lam": 0.5, "p": "0.1"}, "p must be a finite number, got '0.1'"),
+    ])
+    def test_non_number_penalty_parameter_exits_two(self, doc_path, tmp_path, penalty,
+                                                     message, capsys):
+        # neither may be coerced into a number that then solves
+        doc = json.loads(open(doc_path).read())
+        doc["penalty"] = penalty
+        with open(doc_path, "w") as f:
+            f.write(json.dumps(doc))
+        capsys.readouterr()
+        trace = tmp_path / "trace.csv"
+        assert main(["solve", doc_path, "--algo", "bpiree", "--trace", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"malformed instance: {message}\n"
+        assert captured.out == ""
+        assert not trace.exists()
 
     def test_inf_in_blob_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, blob=True)
@@ -372,7 +398,14 @@ class TestCompare:
          "solver 'irl1': unknown momentum mode 'xyz'"),
         ([{"algo": "bpiree", "config": {"momentum": "xyz"}}, {"algo": "irl1"}],
          "solver 'bpiree': unknown momentum mode 'xyz'"),
-    ], ids=["unknown-key", "bad-value-other-row", "bad-value-reference"])
+        # a malformed row itself is named by its index and field
+        ([{"algo": [1]}], "solver row 0: algo must be a string, got [1]"),
+        ([{"algo": "bpiree"}, 3], "solver row 1: must be an object, got 3"),
+        ([{"algo": "bpiree"}, {"algo": "irl1", "bogus": 1}],
+         "solver row 1: unknown field 'bogus'"),
+        ([{"algo": "bpiree", "label": ["a"]}], "solver row 0: label must be a string, got ['a']"),
+    ], ids=["unknown-key", "bad-value-other-row", "bad-value-reference",
+            "row-list-algo", "row-not-object", "row-unknown-key", "row-list-label"])
     def test_bad_row_config_exits_two_without_report(self, tmp_path, capsys, rows, message):
         cfg = write_config(tmp_path, solvers=rows)
         out = tmp_path / "r.json"
@@ -420,16 +453,23 @@ class TestCompare:
         assert not out.exists()
 
     def test_subprocess_entry_point(self, tmp_path):
-        # the module is runnable as a process; exercised once to keep the
-        # suite honest about packaging
+        # the cli module and the package both run as a process; exercised
+        # once each to keep the suite honest about packaging
         cfg = write_config(tmp_path, n=15, q=25, sparsity=2)
         out = str(tmp_path / "report.json")
-        res = subprocess.run(
-            [sys.executable, "-m", "bpiree.cli", "compare", "--config", cfg,
-             "--out", out],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "BPIREE_LOG": "error"},
-        )
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", *argv], capture_output=True, text=True,
+                env={**os.environ, "BPIREE_LOG": "error"},
+            )
+
+        res = run("bpiree.cli", "compare", "--config", cfg, "--out", out)
         assert res.returncode == 0, res.stderr
         assert os.path.exists(out)
+        inst, trace = str(tmp_path / "inst.json"), tmp_path / "trace.csv"
+        assert main(["generate", "--config", cfg, "--out", inst]) == 0
+        res = run("bpiree", "solve", inst, "--algo", "bpiree", "--trace", str(trace))
+        assert res.returncode == 0, res.stderr
+        assert trace.read_text().splitlines()[0] == (
+            "k,F,step_rel,residual,beta,block,retried,wall_ns,algo")

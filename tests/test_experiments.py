@@ -286,6 +286,23 @@ class TestComparisonPasses:
             assert report.curves[row.label]["x_rel"][-1] == expected
             assert len(report.curves[row.label]["x_rel"]) == row.iterations
 
+    def test_reference_curve_pass_is_untraced(self, monkeypatch):
+        # the reference row keeps its first run's trace, so the second run,
+        # which only tracks the curve, records none
+        passes = []
+
+        def logged(algo, problem, config, x0, callback=None, _run=experiments.run_algorithm):
+            passes.append((algo, callback is not None, config.record_trace))
+            return _run(algo, problem, config, x0, callback=callback)
+
+        monkeypatch.setattr(experiments, "run_algorithm", logged)
+        report = run_comparison(desk_spec(**self.SPEC))
+        assert passes == [("bpiree", False, True), ("bpiree", True, False),
+                          ("irl1e1", True, True), ("irl1", True, True)]
+        for row in report.results:
+            assert len(report.curves[row.label]["f_gap"]) == row.iterations
+        assert report.curves["bpiree"]["f_gap"][-1] == 0.0
+
     def test_failing_row_gets_empty_curves(self, monkeypatch):
         def fails_midway(problem, config, x0, callback=None):
             if callback is not None:
@@ -339,7 +356,7 @@ class TestProxCallPath:
         k, m, n = trace.iterations, problem.partition.m, problem.loss.dim
         if algo.startswith("bpiree"):
             # one call per attempt: a retried step tries twice
-            retries = sum(rec.retried for rec in trace.records)
+            retries = sum(trace.columns["retried"])
             assert retries > 0
             assert calls == [n // m] * (k + retries)
         elif algo == "pire-au":

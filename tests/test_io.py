@@ -1,12 +1,13 @@
 """Problem-instance JSON, trace CSV, atomic writes."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from bpiree.experiments import build_problem, desk_spec
+from bpiree.experiments import build_problem, desk_spec, run_algorithm
 from bpiree.io import (
     atomic_write_text,
     load_problem,
@@ -16,7 +17,7 @@ from bpiree.io import (
 )
 from bpiree.lp import solve_lp
 from bpiree.model import LeastSquares, MatrixLeastSquares
-from bpiree.solver import SolverConfig, solve
+from bpiree.solver import SolverConfig, Trace, solve
 
 
 class TestProblemRoundTrip:
@@ -79,13 +80,13 @@ class TestTraceCsv:
         first = lines[1].split(",")
         assert first[0] == "1"
         # shortest round-trip decimal: parsing back reproduces the float
-        assert float(first[1]) == trace.records[0].F
+        assert float(first[1]) == trace.columns["F"][0]
 
     def test_lp_columns(self):
         prob, _ = build_problem(desk_spec("matrix_lp", seed=0, n=8, q=10, t=2, m=2))
         config = SolverConfig(record_trace=True, max_iter=5)
         _, _, trace, _ = solve_lp(prob, config, np.zeros(20))
-        text = trace_csv_text(trace.records)
+        text = trace_csv_text(trace)
         header = text.splitlines()[0]
         assert header.endswith("wall_ns,eps_min,eps_max,support_size,sign_fixed")
 
@@ -93,7 +94,7 @@ class TestTraceCsv:
         prob, _ = build_problem(desk_spec("log_ls", seed=0, n=10, q=20, sparsity=2))
         config = SolverConfig(record_trace=True, max_iter=3)
         _, trace, _ = solve(prob, config, np.zeros(20))
-        text = trace_csv_text(trace.records, algo="bpiree")
+        text = trace_csv_text(trace, algo="bpiree")
         lines = text.splitlines()
         assert lines[0].endswith(",algo")
         assert all(line.endswith(",bpiree") for line in lines[1:])
@@ -102,8 +103,67 @@ class TestTraceCsv:
         prob, _ = build_problem(desk_spec("log_ls", seed=0, n=10, q=20, sparsity=2))
         config = SolverConfig(record_trace=True, max_iter=3)
         _, trace, _ = solve(prob, config, np.zeros(20))
-        row = trace_csv_text(trace.records).splitlines()[1].split(",")
+        row = trace_csv_text(trace).splitlines()[1].split(",")
         assert row[6] in ("0", "1")
+
+
+BASE_HEADER = ["k", "F", "step_rel", "residual", "beta", "block", "retried", "wall_ns"]
+LP_HEADER = BASE_HEADER + ["eps_min", "eps_max", "support_size", "sign_fixed"]
+INT_COLUMNS = {"k", "block", "wall_ns", "support_size"}
+BOOL_COLUMNS = {"retried", "sign_fixed"}
+
+
+def csv_by_rules(trace, header, algo):
+    """The trace CSV the documented rules give, rendered row by row: floats
+    in shortest round-trip form, booleans as 0/1, integers as decimals and
+    ``algo`` as the last column."""
+
+    def cell(name, value):
+        if name in BOOL_COLUMNS:
+            assert isinstance(value, (bool, np.bool_)), name
+            return "1" if value else "0"
+        if name in INT_COLUMNS:
+            assert isinstance(value, int) and not isinstance(value, bool), name
+            return "%d" % value
+        assert isinstance(value, float), name
+        text = float.__repr__(value)
+        assert float(text) == value or (math.isnan(value) and text == "nan")
+        return text
+
+    lines = [",".join(header + ["algo"])]
+    for i in range(trace.iterations):
+        lines.append(",".join([cell(name, trace.columns[name][i]) for name in header] + [algo]))
+    return "".join(line + "\n" for line in lines)
+
+
+class TestTraceCsvRules:
+    @pytest.mark.parametrize("example,algo,header", [
+        ("log_ls", "bpiree", BASE_HEADER),
+        ("matrix_lp", "bpiree-lp", LP_HEADER),
+        ("log_ls", "irl1", BASE_HEADER),
+    ])
+    def test_writer_matches_rules_byte_for_byte(self, example, algo, header):
+        prob, _ = build_problem(desk_spec(example, seed=0, m=3))
+        # the residual column is filled, so it is not all NaN
+        config = SolverConfig(record_trace=True, record_residual=True, max_iter=60,
+                              momentum="fista")
+        _, trace, _ = run_algorithm(algo, prob, config, np.zeros(prob.loss.dim))
+        assert trace.iterations > 0
+        assert list(trace.columns) == header
+        text = trace_csv_text(trace, algo=algo)
+        assert text == csv_by_rules(trace, header, algo)
+        assert trace_csv_text(trace) == "".join(
+            line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
+
+    @pytest.mark.parametrize("source", ["empty", "lp-untraced"])
+    def test_no_rows_writes_base_header(self, source):
+        trace = Trace()
+        if source == "lp-untraced":
+            # a smoothed-lp block run without rows has no lp columns either
+            prob, _ = build_problem(desk_spec("matrix_lp", seed=0))
+            _, _, trace, _ = solve_lp(prob, SolverConfig(max_iter=5), np.zeros(prob.loss.dim))
+        assert trace_csv_text(trace) == ",".join(BASE_HEADER) + "\n"
+        assert trace_csv_text(trace, algo="x") == ",".join(BASE_HEADER) + ",algo\n"
 
 
 class TestAtomicWrite:

@@ -130,7 +130,7 @@ class TestSolveLp:
         prob, _ = build_problem(desk_spec("matrix_lp", seed=1))
         config = SolverConfig(momentum="fista", record_trace=True)
         _, _, trace, status = solve_lp(prob, config, np.zeros(prob.loss.dim))
-        F = [rec.F for rec in trace.records]
+        F = trace.columns["F"]
         for prev, nxt in zip(F, F[1:]):
             assert nxt <= prev + 1e-12 * (1 + abs(prev))
 
@@ -152,7 +152,7 @@ class TestSolveLp:
         assert trace.support is not None
         assert trace.support.fixed
         np.testing.assert_array_equal(trace.support.sign, np.sign(x))
-        assert trace.records[-1].sign_fixed
+        assert trace.columns["sign_fixed"][-1]
 
     def test_support_magnitude_floor(self):
         prob, _ = build_problem(desk_spec("matrix_lp", seed=4))
@@ -206,19 +206,20 @@ class TestSupportReport:
         )
         assert status is SolveStatus.CONVERGED
         assert window < len(history) or window == 10**6
-        assert len(history) == len(trace.records) == trace.iterations
+        assert len(history) == len(trace.columns["k"]) == trace.iterations
         fixed, K = _terminal_run(history, window)
         assert (trace.support.fixed, trace.support.K_observed) == (fixed, K)
         np.testing.assert_array_equal(trace.support.sign, history[-1])
-        # every record reports the sign run up to its own iteration
+        # every row reports the sign run up to its own iteration
         run_start = 1
-        for k, rec in enumerate(trace.records, start=1):
+        sign_fixed = trace.columns["sign_fixed"]
+        for k, fixed_k in enumerate(sign_fixed, start=1):
             if k > 1 and not np.array_equal(history[k - 1], history[k - 2]):
                 run_start = k
-            assert rec.sign_fixed == (k - run_start + 1 >= min(window, k)), k
-        assert any(rec.sign_fixed for rec in trace.records)
+            assert fixed_k == (k - run_start + 1 >= min(window, k)), k
+        assert any(sign_fixed)
         if 1 < window < len(history):
-            assert not all(rec.sign_fixed for rec in trace.records)
+            assert not all(sign_fixed)
 
 
     def test_one_class_under_every_name(self):
@@ -233,10 +234,10 @@ class TestLpTrace:
         prob, _ = build_problem(desk_spec("matrix_lp", seed=7))
         config = SolverConfig(momentum="fista", record_trace=True, max_iter=50)
         _, _, trace, _ = solve_lp(prob, config, np.zeros(prob.loss.dim))
-        rec = trace.records[-1]
-        assert rec.eps_min <= rec.eps_max <= 1.0
-        assert 0 <= rec.support_size <= prob.loss.dim
-        assert isinstance(rec.sign_fixed, (bool, np.bool_))
+        last = {name: column[-1] for name, column in trace.columns.items()}
+        assert last["eps_min"] <= last["eps_max"] <= 1.0
+        assert 0 <= last["support_size"] <= prob.loss.dim
+        assert isinstance(last["sign_fixed"], (bool, np.bool_))
 
 
 class TestSignTracking:

@@ -395,7 +395,7 @@ class TestSolve:
         prob, _ = build_problem(desk_spec("log_ls", seed=1))
         config = SolverConfig(momentum="fista", record_trace=True, max_iter=3000)
         _, trace, _ = solve(prob, config, np.zeros(prob.loss.dim))
-        F = [rec.F for rec in trace.records]
+        F = trace.columns["F"]
         for prev, nxt in zip(F, F[1:]):
             assert nxt <= prev + 1e-12 * (1 + abs(prev))
 
@@ -441,12 +441,9 @@ class TestSolve:
         runs = []
         for _ in range(2):
             _, trace, _ = solve(prob, config, np.zeros(prob.loss.dim))
-            runs.append(
-                [
-                    dataclasses.replace(rec, wall_ns=0)  # wall time may differ
-                    for rec in trace.records
-                ]
-            )
+            # wall time may differ
+            runs.append({name: column for name, column in trace.columns.items()
+                         if name != "wall_ns"})
         assert runs[0] == runs[1]
 
     def test_numerical_failure_status(self):
@@ -467,13 +464,13 @@ class TestSolve:
         prob = quadratic_problem(np.eye(2), np.array([1.0, 1.0]), lam=1e-3, eps_bar=0.1)
         config = SolverConfig(record_trace=True, record_residual=True)
         _, trace, _ = solve(prob, config, np.zeros(2))
-        assert all(math.isfinite(rec.residual) for rec in trace.records)
+        assert all(math.isfinite(r) for r in trace.columns["residual"])
         # residual shrinks to (near) zero at convergence
-        assert trace.records[-1].residual <= 1e-2
+        assert trace.columns["residual"][-1] <= 1e-2
 
 
 class TestTraceMomentum:
-    """The ``beta_used`` column of a trace respects the constant bound."""
+    """The ``beta`` column of a trace respects the constant bound."""
 
     RUNS = {
         "log_ls-m4-shuffled": (
@@ -489,7 +486,7 @@ class TestTraceMomentum:
         config = SolverConfig(momentum=momentum, record_trace=True, **extra)
         _, trace, status = solve(prob, config, np.zeros(prob.loss.dim))
         assert status is SolveStatus.CONVERGED
-        return np.array([rec.beta_used for rec in trace.records]), config
+        return np.array(trace.columns["beta"]), config
 
     @pytest.mark.parametrize("run", list(RUNS))
     def test_bound_mode_uses_zero_or_the_bound(self, run):
