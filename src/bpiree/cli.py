@@ -14,9 +14,9 @@ dimensions.  The env var ``BPIREE_LOG`` in {error, info, debug} controls
 logging.  Output files are written via temp-file-then-rename, so failures
 never leave partial files.
 
-Exit codes: 0 success (solve: converged), 2 malformed config, unknown
-algorithm or an algorithm the instance does not support (bpiree-lp on a
-log_ls instance), 3 I/O failure, 4 solve hit the iteration cap, 5
+Exit codes: 0 success (solve: converged), 2 malformed config or instance,
+unknown algorithm or an algorithm the instance does not support (bpiree-lp
+on a log_ls instance), 3 I/O failure, 4 solve hit the iteration cap, 5
 numerical failure.
 """
 
@@ -38,13 +38,12 @@ from .experiments import (
     ExperimentSpec,
     SCALE_PRESETS,
     build_problem,
-    check_ill_shape,
     run_comparison,
     solver_config,
 )
 from .io import atomic_write_text, load_problem, save_problem, write_trace_csv
 from .lp import solve_lp
-from .model import eval_objective
+from .model import eval_objective, from_json
 from .prox import NumericalFailure
 from .solver import SolveStatus, stationarity_residual
 
@@ -117,19 +116,12 @@ def _load_config(args) -> dict:
 
 
 def _spec_from_config(config: dict) -> ExperimentSpec:
-    spec_kwargs = {k: v for k, v in config.items() if k in SPEC_KEYS}
-    spec_kwargs["solver_defaults"] = config.get("solver")
-    if "example" not in spec_kwargs:
-        raise ConfigError("field 'example' is required")
-    for key in ("n", "q"):
-        if key not in spec_kwargs:
-            raise ConfigError(f"field {key!r} is required (or use --scale)")
+    fields = {k: v for k, v in config.items() if k in SPEC_KEYS}
+    fields["solver_defaults"] = config.get("solver")
     try:
-        spec = ExperimentSpec(**spec_kwargs)
-        check_ill_shape(spec)
+        return from_json(ExperimentSpec, fields, "config")
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return spec
 
 
 def cmd_generate(args) -> int:
@@ -166,27 +158,19 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    if algo == "bpiree" and problem.smoothed_lp:
-        algo_fn = "bpiree-lp"  # the block solver on an lp instance is the lp variant
-    else:
-        algo_fn = algo
-    if algo_fn == "bpiree-lp" and not problem.smoothed_lp:
+    if algo == "bpiree-lp" and not problem.smoothed_lp:
         print(f"{algo} requires an instance with the smoothed lp penalty", file=sys.stderr)
         return EXIT_CONFIG
-    eps_final = None
-    if algo_fn == "bpiree-lp":
-        x, eps_final, trace, status = solve_lp(problem, solver_cfg, np.zeros(problem.loss.dim))
+    x0 = np.zeros(problem.loss.dim)
+    if algo == "bpiree-lp":
+        x, _eps, trace, status = solve_lp(problem, solver_cfg, x0)
     else:
-        x, trace, status = ALGORITHMS[algo_fn](
-            problem, solver_cfg, np.zeros(problem.loss.dim)
-        )
-    if problem.smoothed_lp and eps_final is None:
-        eps_final = np.full(problem.loss.dim, solver_cfg.eps0)
-    F_final = eval_objective(problem.loss, problem.penalty, x, eps_final)
+        x, trace, status = ALGORITHMS[algo](problem, solver_cfg, x0)
+    F_final = eval_objective(problem.loss, problem.penalty, x, trace.eps)
     residual = math.nan
     # a failed run's last finite iterate may overflow the gradient norm
     if status is not SolveStatus.NUMERICAL_FAILURE and problem.penalty.g is None:
-        residual = stationarity_residual(problem, x, eps_final)
+        residual = stationarity_residual(problem, x, trace.eps)
     print(
         f"{algo} {trace.iterations} {F_final!r} {trace.final_step_rel!r} "
         f"{residual!r} {status.value}"

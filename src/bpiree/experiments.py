@@ -35,6 +35,7 @@ from .model import (
     Problem,
     SmoothedLp,
     check_field_types,
+    from_json,
 )
 from .solver import SolveStatus, SolverConfig, _norm, solve
 
@@ -68,8 +69,6 @@ SCALE_PRESETS = {
     },
 }
 
-SOLVER_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
-
 DEFAULT_SOLVERS = {
     "log_ls": ("bpiree", "irl1e1", "irl1"),
     "matrix_lp": ("bpiree-lp", "pire-au", "pire-ps"),
@@ -92,28 +91,12 @@ class SolverEntry:
             self.label = self.algo
 
 
-ENTRY_FIELDS = {f.name for f in dataclasses.fields(SolverEntry)}
-
-
-def _solver_entry(row) -> SolverEntry:
-    """The ``SolverEntry`` of a compare row: a ``SolverEntry``, or an object
-    of its fields whose values fit their types."""
-    if isinstance(row, SolverEntry):
-        return row
-    if not isinstance(row, dict):
-        raise ValueError(f"must be an object, got {row!r}")
-    unknown = set(row) - ENTRY_FIELDS
-    if unknown:
-        raise ValueError(f"unknown field {sorted(unknown)[0]!r}")
-    return SolverEntry(**row)
-
-
 @dataclass
 class ExperimentSpec:
     """Fully-seeded description of one synthetic benchmark run.
 
     Construction checks every field's type and all that ``build_problem``
-    needs but :func:`check_ill_shape`.  ``solver_defaults`` (not stored)
+    needs, the ill-conditioned shape included.  ``solver_defaults`` (not stored)
     are solver config values for every row, the default rows included; a
     row's own ``config`` wins.  Every row's merged config is checked here,
     including that it keeps ``record_trace`` on.
@@ -151,6 +134,8 @@ class ExperimentSpec:
             raise ValueError("sparsity must be a fraction in [0, 1) or a whole count")
         if self.nnz() >= self.q:
             raise ValueError("sparsity must be less than q")
+        if self.example == "log_ls" and self.conditioning == "ill" and self.n > self.q:
+            raise ValueError("ill-conditioned generator requires n <= q")
         make_penalty(self)
         if not isinstance(self.solvers, list):
             raise ValueError(f"solvers must be a list, got {self.solvers!r}")
@@ -158,7 +143,8 @@ class ExperimentSpec:
         self.solvers = []
         for i, row in enumerate(rows):
             try:
-                self.solvers.append(_solver_entry(row))
+                self.solvers.append(
+                    row if isinstance(row, SolverEntry) else from_json(SolverEntry, row))
             except ValueError as exc:
                 raise ValueError(f"solver row {i}: {exc}") from None
         if self.example != "matrix_lp" and any(e.algo == "bpiree-lp" for e in self.solvers):
@@ -190,7 +176,7 @@ def desk_spec(example: str, seed: int = 0, **overrides) -> ExperimentSpec:
     """Desk-scale spec for an example, with optional field overrides."""
     base = dict(SCALE_PRESETS[example]["desk"])
     if example == "matrix_lp":
-        base.update(lam=0.015, p=0.1, mu=0.1)
+        base.update(lam=0.015)
     base.update(overrides)
     return ExperimentSpec(example=example, seed=seed, **base)
 
@@ -222,20 +208,12 @@ def gen_gaussian_sensing(spec: ExperimentSpec):
     return A, b, x_true
 
 
-def check_ill_shape(spec: ExperimentSpec) -> None:
-    """Raise ``ValueError`` if ``spec`` asks for the ill-conditioned log_ls
-    operator with ``n > q``, which :func:`gen_illconditioned` cannot build."""
-    if spec.example == "log_ls" and spec.conditioning == "ill" and spec.n > spec.q:
-        raise ValueError("ill-conditioned generator requires n <= q")
-
-
 def gen_illconditioned(spec: ExperimentSpec) -> np.ndarray:
     """Sensing matrix ``U diag(sigma) V^T`` with ``sigma_i = 1e-4 + (i-1)/10``.
 
     ``U`` (n x n) and ``V`` (q x n) come from QR orthonormalization of
-    seeded Gaussian matrices; requires ``n <= q``.
+    seeded Gaussian matrices; requires ``n <= q``, which the spec checks.
     """
-    check_ill_shape(spec)
     rng = np.random.default_rng(spec.seed)
     sigma = 1e-4 + np.arange(spec.n) / 10.0
     U, _ = np.linalg.qr(rng.standard_normal((spec.n, spec.n)))
@@ -326,15 +304,10 @@ def solver_config(*sections) -> SolverConfig:
     of SolverConfig fields, or None where absent; a later one wins, and a
     field none sets keeps its default.  Raises ``ValueError`` naming the
     first bad section, key or field."""
-    merged = {}
-    for section in (s for s in sections if s is not None):
-        if not isinstance(section, dict):
-            raise ValueError(f"solver config must be an object, got {section!r}")
-        unknown = set(section) - SOLVER_FIELDS
-        if unknown:
-            raise ValueError(f"unknown solver config field {sorted(unknown)[0]!r}")
-        merged.update(section)
-    config = SolverConfig(**merged)
+    config = SolverConfig()
+    for section in sections:
+        if section is not None:
+            config = from_json(SolverConfig, section, "solver config", base=config)
     config.validate()
     return config
 

@@ -19,6 +19,7 @@ round-trip decimal form, booleans as 0/1 and integers as decimals.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import os
@@ -34,6 +35,7 @@ from .model import (
     MatrixLeastSquares,
     Problem,
     SmoothedLp,
+    from_json,
 )
 from .solver import Trace
 
@@ -73,22 +75,27 @@ def _atomic_write(path: str, data, mode: str) -> None:
         raise
 
 
+# the instance penalty's "type" -> its class; the other keys are the class's fields
+PENALTY_TYPES = {"log": LogPenalty, "lp": SmoothedLp}
+
+
 def penalty_to_dict(penalty) -> dict:
-    if isinstance(penalty, LogPenalty):
-        return {"type": "log", "lam": penalty.lam, "eps_bar": penalty.eps_bar}
-    if isinstance(penalty, SmoothedLp):
-        return {"type": "lp", "lam": penalty.lam, "p": penalty.p}
+    for kind, cls in PENALTY_TYPES.items():
+        if type(penalty) is cls:
+            return {"type": kind, **dataclasses.asdict(penalty)}
     raise ValueError(f"penalty {type(penalty).__name__} has no JSON form")
 
 
-def penalty_from_dict(d: dict):
-    """The penalty a JSON object describes; the penalty checks its parameters."""
-    kind = d.get("type")
-    if kind == "log":
-        return LogPenalty(lam=d["lam"], eps_bar=d["eps_bar"])
-    if kind == "lp":
-        return SmoothedLp(lam=d["lam"], p=d["p"])
-    raise ValueError(f"unknown penalty type {kind!r}")
+def penalty_from_dict(d):
+    """The penalty a JSON object describes: its ``type`` and exactly the
+    fields of that penalty class, which checks their values."""
+    if not isinstance(d, dict):
+        raise ValueError(f"penalty must be an object, got {d!r}")
+    params = dict(d)
+    kind = params.pop("type", None)
+    if not (isinstance(kind, str) and kind in PENALTY_TYPES):
+        raise ValueError(f"unknown penalty type {kind!r}")
+    return from_json(PENALTY_TYPES[kind], params, "penalty")
 
 
 def save_problem(path: str, problem: Problem, x_true=None, blob: bool = False) -> None:
@@ -118,18 +125,31 @@ def save_problem(path: str, problem: Problem, x_true=None, blob: bool = False) -
     atomic_write_text(path, json.dumps(doc, sort_keys=True))
 
 
+def _floats(value, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):  # a JSON object or string among the numbers
+        raise ValueError(f"{name} must be an array of numbers") from None
+
+
 def load_problem(path: str):
-    """Read a problem instance; returns ``(Problem, x_true_or_None)``."""
+    """Read a problem instance; returns ``(Problem, x_true_or_None)``.  A
+    malformed one raises ``KeyError`` or ``ValueError`` naming the field."""
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"an instance must be a JSON object, got {type(doc).__name__}")
     A = doc["A"]
     if isinstance(A, str):
-        shape = tuple(doc["A_shape"])
+        shape = doc["A_shape"]
+        if not (isinstance(shape, list) and len(shape) == 2
+                and all(type(d) is int and d >= 0 for d in shape)):
+            raise ValueError(f"A_shape must be two nonnegative integers, got {shape!r}")
         blob_path = os.path.join(os.path.dirname(os.path.abspath(path)), A)
         A = np.fromfile(blob_path, dtype="<f8").reshape(shape)
     else:
-        A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(doc["b"], dtype=np.float64)
+        A = _floats(A, "A")
+    b = _floats(doc["b"], "b")
     t, blocks = doc.get("t", 1), doc["blocks"]
     if type(t) is not int or t < 1:  # a bool is no column count
         raise ValueError(f"t must be a positive integer, got {t!r}")
@@ -141,7 +161,7 @@ def load_problem(path: str):
     problem = Problem(loss, penalty, BlockPartition(blocks=tuple(blocks), n=loss.dim))
     x_true = doc.get("x_true")
     if x_true is not None:
-        x_true = np.asarray(x_true, dtype=np.float64)
+        x_true = _floats(x_true, "x_true")
     return problem, x_true
 
 

@@ -20,10 +20,11 @@ prox (``None`` means the absolute value).  Only :class:`SmoothedLp` reads
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,6 +42,7 @@ __all__ = [
     "CustomPenalty",
     "Problem",
     "check_field_types",
+    "from_json",
     "eval_objective",
     "spectral_norm_sq",
 ]
@@ -166,11 +168,7 @@ def spectral_norm_sq(M: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> f
         return 0.0
     k = M.shape[1]
     v = np.random.default_rng(0).standard_normal(k)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:  # cannot happen with a Gaussian draw; keep the guard anyway
-        v = np.ones(k)
-        nv = np.sqrt(k)
-    v /= nv
+    v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(max_iter):
         w = M @ v
@@ -461,6 +459,26 @@ def check_field_types(obj) -> None:
         value = getattr(obj, f.name)
         if fits is not None and not fits(value):
             raise ValueError(f"{f.name} must be {what}, got {value!r}")
+
+
+def from_json(cls, value, what: str = "", base=None):
+    """The dataclass ``cls`` (its keys replacing the fields of ``base``, if
+    given) that the JSON object ``value`` describes.  Raises ``ValueError``
+    naming ``what`` for a non-object, an unknown key or, without ``base``, a
+    missing required key; ``cls`` checks the values itself."""
+    name = f"{what} " if what else ""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name}must be an object, got {value!r}")
+    params = inspect.signature(cls).parameters
+    unknown = sorted(set(value) - set(params))
+    if unknown:
+        raise ValueError(f"unknown {name}field {unknown[0]!r}")
+    if base is not None:
+        return replace(base, **value)
+    for key, param in params.items():
+        if param.default is param.empty and key not in value:
+            raise ValueError(f"{name}field {key!r} is required")
+    return cls(**value)
 
 
 @dataclass(frozen=True)

@@ -156,7 +156,8 @@ class Trace:
     block it updated (-1 for a full-vector or sweep step), ``retried``
     whether the safeguard redid it and ``wall_ns`` its time.  On a
     smoothed-lp block run with at least one row ``eps_min``, ``eps_max``,
-    ``support_size`` and ``sign_fixed`` follow.
+    ``support_size`` and ``sign_fixed`` follow.  ``eps`` is the final
+    smoothing factors of a smoothed-lp run (the baselines keep ``eps0``).
     """
 
     columns: Dict[str, list] = field(
@@ -165,20 +166,19 @@ class Trace:
     iterations: int = 0
     final_step_rel: float = math.nan
     support: Optional[SupportReport] = None  # smoothed-lp runs only
+    eps: Optional[np.ndarray] = None
 
 
 @dataclass
 class _StepInfo:
-    """What a step reports to the loop.  The baselines leave the descent
-    certificate's inputs unset (``L_curr`` None) and get no certificates."""
+    """What a step reports to the loop.  Only the block step certifies its
+    descent (``check_descent``); the baselines leave ``certificate`` None."""
 
     block: int
     beta_used: float
     retried: bool
     step_rel: float
-    step_norm: float = math.nan
-    prev_step_norm: float = math.nan
-    L_curr: Optional[float] = None
+    certificate: Optional[CertificateRecord] = None
 
 
 @dataclass
@@ -275,6 +275,7 @@ def descent_certificate(
     step_norm: float,
     prev_step_norm: float,
     gamma: float,
+    k: int = -1,
 ):
     """Check the per-iteration sufficient-decrease estimate.
 
@@ -282,15 +283,15 @@ def descent_certificate(
     - c2*L_curr*beta^2*prev_step_norm^2`` with ``c1 = (gamma-1)/4`` and
     ``c2 = (gamma+1)^2/(gamma-1)`` (1/4 and 9 at gamma = 2), within an
     absolute slack of ``1e-9 * (1 + |F_prev|)``.  Returns a
-    :class:`CertificateRecord` with ``k = -1`` (callers fill in the
-    iteration); ``slack`` is the signed margin.
+    :class:`CertificateRecord` for iteration ``k``; ``slack`` is the signed
+    margin.
     """
     c1 = (gamma - 1.0) / 4.0
     c2 = (gamma + 1.0) ** 2 / (gamma - 1.0)
     rhs = c1 * L_curr * step_norm**2 - c2 * L_curr * beta**2 * prev_step_norm**2
     slack = (F_prev - F_next) - rhs
     holds = slack >= -1e-9 * (1.0 + abs(F_prev))
-    return CertificateRecord(k=-1, holds=holds, slack=slack)
+    return CertificateRecord(k=k, holds=holds, slack=slack)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +346,8 @@ def _norm(v) -> float:
 
 def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> _StepInfo:
     """Run one iteration in place and return what it did (block, momentum,
-    retry flag, step norms).
+    retry flag, relative step and, with ``check_descent``, the descent
+    certificate).
 
     Raises :class:`~bpiree.prox.NumericalFailure` if the accepted iterate
     or objective is not finite.
@@ -379,7 +381,6 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> _
     # the block is written back below.
     x_block = state.x[idx]
     prev_diff = x_block - state.x_prev[idx]
-    prev_step_norm = _norm(prev_diff)
     eps_block = state.eps[idx] if state.eps is not None else None
     w_block = penalty.weights(x_block, eps_block)
     g, g_subgrad = penalty.g, penalty.g_subgrad
@@ -437,17 +438,16 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> _
         if not (np.sign(new_block) == np.sign(state.x_prev[idx])).all():
             state.sign_run_start = k
     state.block_pen[b] = pen_block
+    certificate = None
+    if config.check_descent:
+        certificate = descent_certificate(
+            state.F_current, F_new, L_curr, beta, step_norm, _norm(prev_diff),
+            config.gamma, k,
+        )
     state.F_current = F_new
 
-    return _StepInfo(
-        block=b,
-        beta_used=beta,
-        retried=retried,
-        step_rel=step_rel,
-        step_norm=step_norm,
-        prev_step_norm=prev_step_norm,
-        L_curr=L_curr,
-    )
+    return _StepInfo(block=b, beta_used=beta, retried=retried, step_rel=step_rel,
+                     certificate=certificate)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +477,6 @@ def _iterate(problem, config, state, step, window, callback=None):
     columns = [[] for _ in names]
     for _ in range(config.max_iter):
         t0 = time.perf_counter_ns() if config.record_trace else 0
-        F_prev = state.F_current
         try:
             info = step(state, problem, config)
         except NumericalFailure as exc:
@@ -497,13 +496,8 @@ def _iterate(problem, config, state, step, window, callback=None):
                         _sign_fixed(state, config.support_window))
             for column, value in zip(columns, row):
                 column.append(value)
-        if config.check_descent and info.L_curr is not None:
-            cert = descent_certificate(
-                F_prev, state.F_current, info.L_curr,
-                info.beta_used, info.step_norm, info.prev_step_norm, config.gamma,
-            )
-            cert.k = state.k
-            trace.certificates.append(cert)
+        if info.certificate is not None:
+            trace.certificates.append(info.certificate)
         if callback is not None:
             callback(state.k, state.x)
         if state.k % 1000 == 0:
@@ -520,6 +514,7 @@ def _iterate(problem, config, state, step, window, callback=None):
     if columns[0]:  # a trace without rows keeps the empty base columns
         trace.columns = dict(zip(names, columns))
     trace.iterations = state.k
+    trace.eps = state.eps
     if lp:
         trace.support = SupportReport(
             fixed=_sign_fixed(state, config.support_window),

@@ -10,6 +10,10 @@ import numpy as np
 import pytest
 
 from bpiree.cli import main
+from bpiree.experiments import ALGORITHMS
+from bpiree.io import load_problem
+from bpiree.lp import solve_lp
+from bpiree.solver import SolverConfig
 
 
 # Spec fields a desk config must not take: a wrong type (a bool sparsity
@@ -356,6 +360,79 @@ class TestNonFiniteInstance:
         assert "A has non-finite" in capsys.readouterr().err
 
 
+class TestMalformedInstance:
+    """A malformed instance file gets one ``malformed instance`` line and
+    exit 2, never a traceback or a silent solve."""
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: {**doc, "penalty": 3}, "penalty must be an object, got 3"),
+        (lambda doc: [doc], "an instance must be a JSON object, got list"),
+        (lambda doc: {**doc, "A": {"x": 1}}, "A must be an array of numbers"),
+        (lambda doc: {**doc, "A": "foo.bin", "A_shape": 5},
+         "A_shape must be two nonnegative integers, got 5"),
+        # a log penalty has no p
+        (lambda doc: {**doc, "penalty": {**doc["penalty"], "p": 0.5}},
+         "unknown penalty field 'p'"),
+    ], ids=["penalty-not-object", "document-list", "A-object", "A_shape-not-list",
+            "extra-penalty-key"])
+    def test_exits_two_without_trace(self, tmp_path, capsys, edit, message):
+        inst = tmp_path / "inst.json"
+        assert main(["generate", "--config", write_config(tmp_path), "--out", str(inst)]) == 0
+        inst.write_text(json.dumps(edit(json.loads(inst.read_text()))))
+        capsys.readouterr()
+        trace = tmp_path / "trace.csv"
+        assert main(["solve", str(inst), "--algo", "bpiree", "--trace", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"malformed instance: {message}\n"
+        assert captured.out == ""
+        assert not trace.exists()
+
+
+class TestFinalEps:
+    """``solve`` evaluates F_final and the residual at ``trace.eps``, the
+    smoothing factors the run ended with."""
+
+    def test_bpiree_on_lp_instance_is_bpiree_lp(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"example": "matrix_lp", "lam": 0.015, "p": 0.1, "mu": 0.1}))
+        common = ["--config", str(cfg), "--scale", "desk"]
+        inst = str(tmp_path / "inst.json")
+        assert main(["generate", *common, "--out", inst]) == 0
+        outs, csvs = [], []
+        for algo in ("bpiree", "bpiree-lp"):
+            capsys.readouterr()
+            trace = tmp_path / f"{algo}.csv"
+            assert main(["solve", *common, inst, "--algo", algo, "--trace", str(trace)]) == 0
+            fields = capsys.readouterr().out.split()
+            assert fields[0] == algo
+            outs.append(fields[1:])
+            rows = [line.split(",") for line in trace.read_text().splitlines()]
+            skip = {rows[0].index("wall_ns"), rows[0].index("algo")}
+            csvs.append([[c for i, c in enumerate(row) if i not in skip] for row in rows])
+        assert outs[0] == outs[1]
+        assert csvs[0] == csvs[1]
+
+        problem, _ = load_problem(inst)
+        config = SolverConfig(mu=0.1, record_trace=True)
+        x0 = np.zeros(problem.loss.dim)
+        _x, eps, _trace, _status = solve_lp(problem, config, x0)
+        _x, trace, _status = ALGORITHMS["bpiree"](problem, config, x0)
+        assert np.array_equal(trace.eps, eps)
+        config.max_iter = 3  # the baselines never shrink eps
+        for algo in ("pire", "pire-ps", "pire-au", "irl1", "irl1e1"):
+            _x, trace, _status = ALGORITHMS[algo](problem, config, x0)
+            assert np.array_equal(trace.eps, np.full(problem.loss.dim, config.eps0)), algo
+
+    def test_none_on_log_instance(self, tmp_path):
+        inst = str(tmp_path / "inst.json")
+        assert main(["generate", "--config", write_config(tmp_path), "--out", inst]) == 0
+        problem, _ = load_problem(inst)
+        config = SolverConfig(max_iter=3)
+        for algo in ALGORITHMS.keys() - {"bpiree-lp"}:
+            _x, trace, _status = ALGORITHMS[algo](problem, config, np.zeros(problem.loss.dim))
+            assert trace.eps is None, algo
+
+
 class TestCompare:
     def test_report_and_table(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -404,8 +481,10 @@ class TestCompare:
         ([{"algo": "bpiree"}, {"algo": "irl1", "bogus": 1}],
          "solver row 1: unknown field 'bogus'"),
         ([{"algo": "bpiree", "label": ["a"]}], "solver row 0: label must be a string, got ['a']"),
+        ([{"algo": "bpiree"}, {"label": "a"}], "solver row 1: field 'algo' is required"),
     ], ids=["unknown-key", "bad-value-other-row", "bad-value-reference",
-            "row-list-algo", "row-not-object", "row-unknown-key", "row-list-label"])
+            "row-list-algo", "row-not-object", "row-unknown-key", "row-list-label",
+            "row-missing-algo"])
     def test_bad_row_config_exits_two_without_report(self, tmp_path, capsys, rows, message):
         cfg = write_config(tmp_path, solvers=rows)
         out = tmp_path / "r.json"

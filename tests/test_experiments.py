@@ -11,7 +11,6 @@ from bpiree import baselines, experiments, solver
 from bpiree.experiments import (
     ExperimentSpec,
     SolverEntry,
-    check_ill_shape,
     desk_spec,
     gen_gaussian_sensing,
     gen_illconditioned,
@@ -60,9 +59,10 @@ class TestIllConditioned:
         assert max(sv) / min(sv) == pytest.approx(2001.0, rel=1e-6)
 
     def test_rejects_n_greater_than_q(self):
-        spec = ExperimentSpec(example="log_ls", n=6, q=3, seed=0, conditioning="ill")
-        with pytest.raises(ValueError):
-            gen_illconditioned(spec)
+        # the generator needs n <= q; no spec, not even a replaced one, has n > q
+        spec = ExperimentSpec(example="log_ls", n=3, q=6, seed=0, conditioning="ill")
+        with pytest.raises(ValueError, match="n <= q"):
+            dataclasses.replace(spec, n=7)
 
 
 class TestMatrixProblem:
@@ -168,11 +168,10 @@ class TestSpecValidation:
         desk_spec("matrix_lp", eps_bar=-1.0)
 
     def test_ill_shape(self):
-        spec = ExperimentSpec(example="log_ls", n=6, q=3, conditioning="ill")
         with pytest.raises(ValueError, match="n <= q"):
-            check_ill_shape(spec)
-        check_ill_shape(ExperimentSpec(example="log_ls", n=6, q=3))
-        check_ill_shape(ExperimentSpec(example="matrix_lp", n=6, q=3, conditioning="ill"))
+            ExperimentSpec(example="log_ls", n=6, q=3, conditioning="ill")
+        ExperimentSpec(example="log_ls", n=6, q=3)
+        ExperimentSpec(example="matrix_lp", n=6, q=3, conditioning="ill")
 
     @pytest.mark.parametrize("field,value", [
         ("example", 3), ("n", "10"), ("q", 20.0), ("t", True), ("m", None),
