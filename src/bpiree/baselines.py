@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .model import Problem
+from .model import Problem, _lipschitz_bound
 from .momentum import fista_momentum
 from .prox import NumericalFailure, block_prox_step
 from .solver import (
@@ -140,7 +140,7 @@ def _run(problem, config, x0, callback, step):
 
 
 def _full_vector(problem, config, x0, callback, use_momentum):
-    L = problem.loss.block_lipschitz(np.arange(problem.loss.dim))
+    L = _lipschitz_bound(problem.loss.A_norm_sq)
     step = functools.partial(_full_vector_step, alpha=1.0 / L, use_momentum=use_momentum)
     return _run(problem, config, x0, callback, step)
 

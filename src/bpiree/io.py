@@ -7,8 +7,8 @@ Problem instances serialize to a JSON document
 
 with optional fields ``A_shape`` (required when ``A`` is a path to a raw
 little-endian float64 blob, row-major), ``t`` (matrix column count, 1 for
-vector problems) and ``x_true`` (the planted signal, when known).  All
-index arrays are 0-based.
+vector problems) and ``x_true`` (the planted signal, when known); any other
+key is rejected.  All index arrays are 0-based.
 
 A trace CSV has one column per entry of ``Trace.columns``, in order:
 ``k,F,step_rel,residual,beta,block,retried,wall_ns`` (plus
@@ -134,11 +134,15 @@ def _floats(value, name: str) -> np.ndarray:
 
 def load_problem(path: str):
     """Read a problem instance; returns ``(Problem, x_true_or_None)``.  A
-    malformed one raises ``KeyError`` or ``ValueError`` naming the field."""
+    malformed one (a missing, unknown or ill-typed field) raises
+    ``KeyError`` or ``ValueError`` naming the field."""
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
         raise ValueError(f"an instance must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - {"A", "A_shape", "b", "t", "blocks", "penalty", "x_true"})
+    if unknown:
+        raise ValueError(f"unknown field {unknown[0]!r}")
     A = doc["A"]
     if isinstance(A, str):
         shape = doc["A_shape"]

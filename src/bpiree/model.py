@@ -157,6 +157,11 @@ def validate_partition(partition: BlockPartition) -> PartitionReport:
 # ---------------------------------------------------------------------------
 
 
+def _norm(v) -> float:
+    # np.linalg.norm of a 1-d float64 array (the same dot and sqrt), minus its dispatch
+    return math.sqrt(v.dot(v))
+
+
 def spectral_norm_sq(M: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> float:
     """Squared spectral norm of ``M`` by power iteration on ``M^T M``.
 
@@ -168,13 +173,13 @@ def spectral_norm_sq(M: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> f
         return 0.0
     k = M.shape[1]
     v = np.random.default_rng(0).standard_normal(k)
-    v /= np.linalg.norm(v)
+    v /= _norm(v)
     lam = 0.0
     for _ in range(max_iter):
         w = M @ v
         u = M.T @ w
         lam_new = float(v @ u)
-        nu = np.linalg.norm(u)
+        nu = _norm(u)
         if nu == 0.0:
             return 0.0
         v = u / nu
@@ -254,14 +259,21 @@ class _LinearLoss:
             return self.A_norm_sq
         return spectral_norm_sq(M)
 
-    def block_lipschitz(self, idx) -> float:
-        """Upper bound on the Lipschitz constant of the gradient block ``idx``.
+    def block_plan(self, idx):
+        """Plan of block ``idx``; rejects an empty, out-of-range or repeated index."""
+        return self._plan(_check_block_indices(idx, self.dim))
 
-        The squared spectral norm of the block operator (power iteration,
-        tol 1e-8, at most 500 iterations) times a 1.01 safety factor,
-        floored at 1e-12 for zero submatrices.
-        """
+    def block_lipschitz(self, idx) -> float:
+        """Upper bound on the Lipschitz constant of the gradient block ``idx``:
+        the squared spectral norm of the block operator (power iteration, tol
+        1e-8, at most 500 iterations) times 1.01, floored at 1e-12."""
         return self.block_plan(idx).lipschitz
+
+    def _check_x(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64).ravel()
+        if x.shape[0] != self.dim:
+            raise ValueError(f"x has length {x.shape[0]}, expected {self.dim}")
+        return x
 
     def value(self, x) -> float:
         return self.value_from_residual(self.residual(x))
@@ -311,15 +323,8 @@ class LeastSquares(_LinearLoss):
         idx = _check_block_indices(idx, self.dim)
         return self.A[:, idx].T @ self.residual(x)
 
-    def block_plan(self, idx) -> _VectorBlockPlan:
-        idx = _check_block_indices(idx, self.dim)
+    def _plan(self, idx) -> _VectorBlockPlan:
         return _VectorBlockPlan(_columns(self.A, idx), self.operator_norm_sq)
-
-    def _check_x(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        if x.shape[0] != self.dim:
-            raise ValueError(f"x has length {x.shape[0]}, expected {self.dim}")
-        return x
 
 
 class _MatrixBlockPlan:
@@ -383,14 +388,8 @@ class MatrixLeastSquares(_LinearLoss):
     def dim(self) -> int:
         return self.q * self.t
 
-    def _as_matrix(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        if x.shape[0] != self.dim:
-            raise ValueError(f"x has length {x.shape[0]}, expected {self.dim}")
-        return x.reshape(self.q, self.t, order="F")
-
     def residual(self, x) -> np.ndarray:
-        return self.A @ self._as_matrix(x) - self.B
+        return self.A @ self._check_x(x).reshape(self.q, self.t, order="F") - self.B
 
     def value_from_residual(self, r) -> float:
         return 0.5 * float((r * r).sum())
@@ -401,22 +400,19 @@ class MatrixLeastSquares(_LinearLoss):
     def block_grad(self, x, idx) -> np.ndarray:
         return self.block_plan(idx).grad_from_residual(self.residual(x))
 
-    def block_plan(self, idx) -> _MatrixBlockPlan:
-        idx = _check_block_indices(idx, self.dim)
-        cols = idx // self.q
-        rows = idx % self.q
+    def _plan(self, idx) -> _MatrixBlockPlan:
+        # ascending flat indices run by column, then by row: one sort groups
+        # the block, and a full-column group (rows 0..q-1) shares A itself
+        order = np.argsort(idx)
+        flat = idx[order]
+        cols = flat // self.q
+        bounds = [0, *(np.flatnonzero(cols[1:] != cols[:-1]) + 1).tolist(), idx.size]
         groups = []
-        for col in np.unique(cols):
-            pos = np.flatnonzero(cols == col)
-            # canonicalize by row so full-column groups share A itself
-            order = np.argsort(rows[pos])
-            pos = pos[order]
-            block_rows = rows[pos]
-            if block_rows.size == self.q:
-                A_sub = self.A
-            else:
-                A_sub = _columns(self.A, block_rows)
-            groups.append((int(col), pos, A_sub))
+        for lo, hi in zip(bounds, bounds[1:]):
+            col = int(cols[lo])
+            rows = flat[lo:hi] - col * self.q
+            A_sub = self.A if rows.size == self.q else _columns(self.A, rows)
+            groups.append((col, order[lo:hi], A_sub))
         return _MatrixBlockPlan(groups, self.operator_norm_sq)
 
 
@@ -424,9 +420,10 @@ def _check_block_indices(idx, dim: int) -> np.ndarray:
     idx = np.asarray(idx, dtype=np.intp).ravel()
     if idx.size == 0:
         raise ValueError("block is empty")
-    if idx.min() < 0 or idx.max() >= dim:
+    ordered = np.sort(idx)
+    if ordered[0] < 0 or ordered[-1] >= dim:
         raise ValueError(f"block indices must lie in 0..{dim - 1}")
-    if np.unique(idx).size != idx.size:
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("block contains duplicate indices")
     return idx
 
@@ -628,8 +625,9 @@ class Problem:
 
     @functools.cached_property
     def block_plans(self) -> tuple:
-        """One plan per block of the partition, in partition order."""
-        return tuple(self.loss.block_plan(b) for b in self.partition.blocks)
+        """One plan per block, in partition order, built from the partition
+        :meth:`__post_init__` validated, so the blocks are not checked again."""
+        return tuple(self.loss._plan(b) for b in self.partition.blocks)
 
 
 def eval_objective(loss, penalty, x, eps=None) -> float:
@@ -638,9 +636,7 @@ def eval_objective(loss, penalty, x, eps=None) -> float:
     For the SmoothedLp penalty the smoothing vector ``eps`` is required and
     the penalty reads ``lam * sum_j (|x_j| + eps_j^2)^p``.
     """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != loss.dim:
-        raise ValueError(f"x has length {x.shape[0]}, expected {loss.dim}")
+    x = loss._check_x(x)
     if eps is not None and np.asarray(eps).ravel().shape[0] != x.shape[0]:
         raise ValueError("eps must have the same length as x")
     if isinstance(penalty, SmoothedLp) and eps is None:

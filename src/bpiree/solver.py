@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .model import Problem, SmoothedLp, check_field_types
+from .model import Problem, SmoothedLp, _norm, check_field_types
 from .momentum import fista_momentum
 from .prox import NumericalFailure, block_prox_step
 
@@ -337,11 +337,6 @@ def init_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
     if problem.smoothed_lp:
         state.sign_run_start = 1
     return state
-
-
-def _norm(v) -> float:
-    # np.linalg.norm of a 1-d float64 array (the same dot and sqrt), minus its dispatch
-    return math.sqrt(v.dot(v))
 
 
 def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> _StepInfo:

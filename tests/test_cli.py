@@ -373,8 +373,11 @@ class TestMalformedInstance:
         # a log penalty has no p
         (lambda doc: {**doc, "penalty": {**doc["penalty"], "p": 0.5}},
          "unknown penalty field 'p'"),
+        # a misspelled x_true must not drop the planted signal silently
+        (lambda doc: {("x_ture" if key == "x_true" else key): value
+                      for key, value in doc.items()}, "unknown field 'x_ture'"),
     ], ids=["penalty-not-object", "document-list", "A-object", "A_shape-not-list",
-            "extra-penalty-key"])
+            "extra-penalty-key", "misspelled-x_true"])
     def test_exits_two_without_trace(self, tmp_path, capsys, edit, message):
         inst = tmp_path / "inst.json"
         assert main(["generate", "--config", write_config(tmp_path), "--out", str(inst)]) == 0

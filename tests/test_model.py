@@ -259,6 +259,29 @@ class TestBlockLipschitz:
             assert lhs <= L * np.linalg.norm(x[block] - y[block]) * (1 + 1e-12)
 
 
+class TestBlockPlanChecks:
+    """The public ``block_plan`` checks its block (``Problem`` builds its
+    plans from the partition it validated, unchecked)."""
+
+    LOSSES = {
+        "vector": lambda: LeastSquares(np.eye(3), np.zeros(3)),
+        "matrix": lambda: MatrixLeastSquares(np.eye(3), np.zeros((3, 2))),
+    }
+
+    @pytest.mark.parametrize("kind", LOSSES)
+    @pytest.mark.parametrize("block,message", [
+        ([], "block is empty"),
+        ([0, -1], "block indices must lie in 0..{last}"),
+        ([0, "dim"], "block indices must lie in 0..{last}"),
+        ([2, 0, 2], "block contains duplicate indices"),
+    ], ids=["empty", "negative", "past-the-end", "duplicate"])
+    def test_bad_block_rejected(self, kind, block, message):
+        loss = self.LOSSES[kind]()
+        block = [loss.dim if i == "dim" else i for i in block]
+        with pytest.raises(ValueError, match=f"^{message.format(last=loss.dim - 1)}$"):
+            loss.block_plan(block)
+
+
 class TestOverflowingLipschitz:
     """Power iteration on entries near 1e155 overflows to inf on its first
     iteration; no stepsize can be formed from that, so every solver stops
@@ -448,6 +471,50 @@ class TestBlockPlans:
             assert plan.A_sub.flags.c_contiguous
             assert not np.shares_memory(plan.A_sub, loss.A)
             np.testing.assert_array_equal(plan.A_sub, A[:, idx])
+
+    @staticmethod
+    def _reference_groups(loss, idx):
+        """Per matrix column: the column, the block positions in it ordered
+        by row, and those rows; the grouping of one ``np.unique`` over the
+        columns and one scan of the block per column."""
+        cols, rows = idx // loss.q, idx % loss.q
+        groups = []
+        for col in np.unique(cols):
+            pos = np.flatnonzero(cols == col)
+            pos = pos[np.argsort(rows[pos])]
+            groups.append((int(col), pos, rows[pos]))
+        return groups
+
+    @pytest.mark.parametrize("block", [
+        np.arange(4, 12),  # contiguous, whole columns 1 and 2
+        np.random.default_rng(5).permutation(12)[:7],  # shuffled
+        np.array([6, 1, 2, 5, 11, 9, 10]),  # splits columns 0, 1 and 2
+        np.array([7]),  # a single coordinate
+        np.arange(12),  # every coordinate
+        np.random.default_rng(6).permutation(12),  # every coordinate, shuffled
+    ], ids=["contiguous", "shuffled", "column-splitting", "single", "all", "all-shuffled"])
+    def test_matrix_plan_groups_by_column_then_row(self, block):
+        rng = np.random.default_rng(7)
+        loss = MatrixLeastSquares(rng.standard_normal((5, 4)), rng.standard_normal((5, 3)))
+        rest = np.setdiff1d(np.arange(loss.dim), block)
+        partition = BlockPartition(blocks=(block, rest) if rest.size else (block,), n=loss.dim)
+        problem = Problem(loss, LogPenalty(lam=1.0, eps_bar=1.0), partition)
+        expected = self._reference_groups(loss, block)
+        operators = [loss.A if rows.size == loss.q else np.ascontiguousarray(loss.A[:, rows])
+                     for _, _, rows in expected]
+        L = max(max(loss.operator_norm_sq(M) for M in operators) * 1.01, 1e-12)
+        for plan in (problem.block_plans[0], loss.block_plan(block)):
+            assert len(plan.groups) == len(expected)
+            for (col, pos, A_sub), (ref_col, ref_pos, rows), M in zip(
+                    plan.groups, expected, operators):
+                assert col == ref_col
+                np.testing.assert_array_equal(pos, ref_pos)
+                if rows.size == loss.q:
+                    assert A_sub is loss.A
+                else:
+                    assert A_sub.flags.c_contiguous
+                    np.testing.assert_array_equal(A_sub, M)
+            assert plan.lipschitz == L
 
     def test_plans_are_built_once_per_problem(self):
         problem, _ = build_problem(desk_spec("log_ls", seed=0, m=3))
