@@ -1,23 +1,22 @@
-"""Comparison algorithms: reweighted full-vector and per-sweep block methods.
+"""Comparison algorithms: five reweighted proximal methods, two update rules.
 
-All of these solve the same composite objective as the block solver but
-without per-block extrapolation state:
+All of these solve the same composite objective as the block solver,
+without per-block extrapolation state, and take the weights at the current
+iterate.  The simultaneous (Jacobi) rule, ``_simultaneous_step``, moves
+every coordinate from the same point in one prox call:
 
-* ``pire_solve`` - full-vector proximal step with a global curvature
-  constant, weights refreshed each iteration, no momentum.
-* ``irl1_solve`` / ``irl1e1_solve`` - the same iteration restricted to the
-  absolute-value ``g``; the "e1" variant extrapolates the whole vector
-  with the restarted momentum sequence (no safeguard).
-* ``pire_ps_solve`` / ``pire_au_solve`` - block sweeps with per-block
-  stepsizes: parallel splitting updates every block from the sweep's base
-  point with weights frozen at sweep start (Jacobi-style), alternative
-  updating walks the blocks sequentially with fresh iterates
-  (Gauss-Seidel-style).  One sweep counts as one iteration.
+* ``pire_solve`` - the loss gradient with the global stepsize ``1/L``.
+* ``irl1_solve`` / ``irl1e1_solve`` - pire for the absolute-value ``g``;
+  "e1" extrapolates the whole vector with the restarted momentum sequence.
+* ``pire_ps_solve`` - parallel splitting: block gradients, stepsizes ``1/L_b``.
 
-Each method is a step function run by the block solver's loop
-(``solver._iterate``), so all of them share its stopping rule, trace
-columns and failure handling.  A baseline stops on the first small step
-(one iteration, or one sweep), reports the objective with the smoothing
+The sequential (Gauss-Seidel) rule, ``_sequential_step``, is
+``pire_au_solve``, alternative updating: the blocks step in order, each from
+the freshest iterate with its ``1/L_b``.  One sweep is one iteration.
+
+Every method runs in the block solver's loop (``solver._iterate``), so all
+share its stopping rule, trace columns and failure handling.  A baseline
+stops on the first small step, reports the objective with the smoothing
 factors held at ``eps0`` and produces no descent certificates.
 """
 
@@ -48,14 +47,11 @@ __all__ = [
     "pire_au_solve",
 ]
 
-# Trace rows of full-vector / per-sweep methods carry this block id.
-FULL_VECTOR_BLOCK = -1
-
-
 def _accept(state, problem, x_new, r_new, beta):
     """Commit the move to ``x_new`` (residual ``r_new``) and return the
     step's ``_StepInfo``, or raise :class:`NumericalFailure` if the
-    objective or the iterate is not finite."""
+    objective or the iterate is not finite.  The step's trace row carries
+    block id -1: it moved every block."""
     f = problem.loss.value_from_residual(r_new)
     F = f + problem.penalty.value(x_new, state.eps)
     k = state.k + 1
@@ -68,13 +64,15 @@ def _accept(state, problem, x_new, r_new, beta):
     state.f = f
     state.F_current = F
     state.k = k
-    return _StepInfo(
-        block=FULL_VECTOR_BLOCK, beta_used=beta, retried=False, step_rel=step_rel
-    )
+    return _StepInfo(block=-1, beta_used=beta, retried=False, step_rel=step_rel)
 
 
-def _full_vector_step(state, problem, config, alpha, use_momentum):
-    """pire / irl1 / irl1e1: one proximal step on the whole vector."""
+def _simultaneous_step(state, problem, config, alpha, grad_of, use_momentum):
+    """pire, irl1, irl1e1 and pire-ps: every coordinate steps from the same
+    point with stepsize ``alpha`` (a scalar, or one per coordinate);
+    ``grad_of(r)`` is the gradient at residual ``r``.  Scaling the gradient
+    and the weights by ``alpha`` and passing stepsize 1.0 gives the floats
+    of a call with stepsize ``alpha``, since ``1.0 * y == y``."""
     loss, penalty, x = problem.loss, problem.penalty, state.x
     if use_momentum:
         # iteration k = state.k + 1 sits at (k - 1) mod N in its restart period
@@ -87,73 +85,48 @@ def _full_vector_step(state, problem, config, alpha, use_momentum):
         r_hat = loss.residual(x_hat)
     else:
         x_hat, r_hat = x, state.residual
-    grad = loss.grad_from_residual(r_hat)
-    x_new = block_prox_step(x_hat, grad, alpha, w, g=penalty.g, g_subgrad=penalty.g_subgrad)
+    x_new = block_prox_step(
+        x_hat, alpha * grad_of(r_hat), 1.0, alpha * w, g=penalty.g, g_subgrad=penalty.g_subgrad
+    )
     return _accept(state, problem, x_new, loss.residual(x_new), beta)
 
 
-def _sweep_step(state, problem, config, alphas, parallel):
-    """pire-ps (parallel=True) / pire-au: one sweep over all blocks.
+def _sequential_step(state, problem, config, alphas):
+    """pire-au: one sweep over the blocks, each block stepping from the
+    freshest iterate with its stepsize ``alphas[b]``.
 
-    ``alphas`` holds the block stepsizes: per coordinate for pire-ps, per
-    block for pire-au."""
-    penalty, eps = problem.penalty, state.eps
-    plans = problem.block_plans
-    g, g_subgrad = penalty.g, penalty.g_subgrad
-    x_start, r = state.x, state.residual
-    # The penalty is separable and a sweep moves each block once, so the
-    # weights at the sweep's base point are also a block's weights at its
-    # turn: one call serves both semantics.
-    w_all = penalty.weights(x_start, eps)
-    if parallel:
-        # Jacobi semantics: every block reads the sweep's base point, so the
-        # blocks' subproblems form one prox step with per-coordinate
-        # stepsizes.  Scaling the gradient and the weights by each
-        # coordinate's stepsize and passing alpha = 1.0 gives the floats of
-        # one call per block with that block's stepsize.
-        grad = np.empty_like(x_start)
-        for b, idx in enumerate(problem.partition.index):
-            grad[idx] = plans[b].grad_from_residual(r)
-        x = block_prox_step(
-            x_start, alphas * grad, 1.0, alphas * w_all, g=g, g_subgrad=g_subgrad
+    The penalty is separable and no earlier block of the sweep moves a
+    block's coordinates, so the weights at the sweep's base point are the
+    block's weights at its turn: one call serves the whole sweep."""
+    penalty = problem.penalty
+    x, r = state.x.copy(), state.residual
+    w = penalty.weights(state.x, state.eps)
+    for idx, plan, alpha in zip(problem.partition.index, problem.block_plans, alphas):
+        x_b = x[idx]  # a view for a slice index; written back last
+        new_block = block_prox_step(
+            x_b, plan.grad_from_residual(r), alpha, w[idx],
+            g=penalty.g, g_subgrad=penalty.g_subgrad,
         )
-        r = problem.loss.residual(x)
-    else:
-        # Gauss-Seidel semantics: each block reads the freshest iterate.
-        x = x_start.copy()
-        for b, idx in enumerate(problem.partition.index):
-            x_b = x[idx]  # a view for a slice index; written back last
-            grad = plans[b].grad_from_residual(r)
-            new_block = block_prox_step(
-                x_b, grad, alphas[b], w_all[idx], g=g, g_subgrad=g_subgrad
-            )
-            r = plans[b].residual_after_delta(r, new_block - x_b)
-            x[idx] = new_block
+        r = plan.residual_after_delta(r, new_block - x_b)
+        x[idx] = new_block
     return _accept(state, problem, x, r, 0.0)
 
 
-def _run(problem, config, x0, callback, step):
-    """Run ``step`` from ``x0`` in the shared loop; one small step stops it."""
+def _plan_grad(problem, r):
+    """The gradient at residual ``r``, gathered from the block plans."""
+    grad = np.empty(problem.loss.dim)
+    for idx, plan in zip(problem.partition.index, problem.block_plans):
+        grad[idx] = plan.grad_from_residual(r)
+    return grad
+
+
+def _run(problem, config, x0, callback, step, **params):
+    """Run ``step`` with ``params`` from ``x0`` in the shared loop; one
+    small step (one iteration, or one sweep) stops it."""
     state = _start_state(problem, config, x0)
+    step = functools.partial(step, **params)
     state, trace, status = _iterate(problem, config, state, step, 1, callback)
     return state.x, trace, status
-
-
-def _full_vector(problem, config, x0, callback, use_momentum):
-    L = _lipschitz_bound(problem.loss.A_norm_sq)
-    step = functools.partial(_full_vector_step, alpha=1.0 / L, use_momentum=use_momentum)
-    return _run(problem, config, x0, callback, step)
-
-
-def _sweep(problem, config, x0, callback, parallel):
-    alphas = [1.0 / plan.lipschitz for plan in problem.block_plans]
-    if parallel:
-        alpha_vec = np.empty(problem.loss.dim)
-        for alpha, idx in zip(alphas, problem.partition.index):
-            alpha_vec[idx] = alpha
-        alphas = alpha_vec
-    step = functools.partial(_sweep_step, alphas=alphas, parallel=parallel)
-    return _run(problem, config, x0, callback, step)
 
 
 def pire_solve(problem: Problem, config: SolverConfig, x0, callback=None):
@@ -162,14 +135,16 @@ def pire_solve(problem: Problem, config: SolverConfig, x0, callback=None):
     ``x^{k+1} = argmin sum_i w_i g(x_i) + (L/2) ||x - (x^k - grad f(x^k)/L)||^2``
     with ``w_i = lam * h'(g(x^k_i))`` and the global curvature bound ``L``.
     """
-    return _full_vector(problem, config, x0, callback, use_momentum=False)
+    alpha = 1.0 / _lipschitz_bound(problem.loss.A_norm_sq)
+    return _run(problem, config, x0, callback, _simultaneous_step, alpha=alpha,
+                grad_of=problem.loss.grad_from_residual, use_momentum=False)
 
 
 def irl1_solve(problem: Problem, config: SolverConfig, x0, callback=None):
     """Reweighted l1 iteration; pire restricted to the absolute-value ``g``."""
     if problem.penalty.g is not None:
         raise ValueError("irl1 requires the absolute-value g")
-    return _full_vector(problem, config, x0, callback, use_momentum=False)
+    return pire_solve(problem, config, x0, callback)
 
 
 def irl1e1_solve(problem: Problem, config: SolverConfig, x0, callback=None):
@@ -181,7 +156,9 @@ def irl1e1_solve(problem: Problem, config: SolverConfig, x0, callback=None):
     """
     if problem.penalty.g is not None:
         raise ValueError("irl1e1 requires the absolute-value g")
-    return _full_vector(problem, config, x0, callback, use_momentum=True)
+    alpha = 1.0 / _lipschitz_bound(problem.loss.A_norm_sq)
+    return _run(problem, config, x0, callback, _simultaneous_step, alpha=alpha,
+                grad_of=problem.loss.grad_from_residual, use_momentum=True)
 
 
 def pire_ps_solve(problem: Problem, config: SolverConfig, x0, callback=None):
@@ -190,11 +167,15 @@ def pire_ps_solve(problem: Problem, config: SolverConfig, x0, callback=None):
     Weights are frozen at sweep start and every block uses its own
     stepsize ``1/L_b``; one sweep is one iteration of the stopping rule.
     """
-    return _sweep(problem, config, x0, callback, parallel=True)
+    alpha = np.empty(problem.loss.dim)
+    for idx, plan in zip(problem.partition.index, problem.block_plans):
+        alpha[idx] = 1.0 / plan.lipschitz
+    return _run(problem, config, x0, callback, _simultaneous_step, alpha=alpha,
+                grad_of=functools.partial(_plan_grad, problem), use_momentum=False)
 
 
 def pire_au_solve(problem: Problem, config: SolverConfig, x0, callback=None):
     """Alternative-updating sweeps: blocks step sequentially within a sweep,
-    each from the freshest iterate.  A block's weights are those of its
-    current values, which no earlier block of the sweep has moved."""
-    return _sweep(problem, config, x0, callback, parallel=False)
+    each from the freshest iterate with its own stepsize ``1/L_b``."""
+    alphas = [1.0 / plan.lipschitz for plan in problem.block_plans]
+    return _run(problem, config, x0, callback, _sequential_step, alphas=alphas)

@@ -126,9 +126,12 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
 
 def cmd_generate(args) -> int:
     config = _load_config(args)
+    blob = config.get("blob", False)
+    if not isinstance(blob, bool):
+        raise ConfigError(f"blob must be true or false, got {blob!r}")
     problem, x_true = build_problem(_spec_from_config(config))
     try:
-        save_problem(args.out, problem, x_true=x_true, blob=bool(config.get("blob")))
+        save_problem(args.out, problem, x_true=x_true, blob=blob)
     except OSError as exc:
         logger.error("cannot write %s: %s", args.out, exc)
         return EXIT_IO

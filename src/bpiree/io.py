@@ -126,10 +126,16 @@ def save_problem(path: str, problem: Problem, x_true=None, blob: bool = False) -
 
 
 def _floats(value, name: str) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):  # a JSON object or string among the numbers
-        raise ValueError(f"{name} must be an array of numbers") from None
+    """A JSON array of numbers, or of rows of numbers, as a float array.  One
+    pass over the rows rejects every non-number, booleans included, which
+    numpy would read as 1.0 and 0.0."""
+    rows = value if isinstance(value, list) and value and isinstance(value[0], list) else [value]
+    if all(isinstance(row, list) and {int, float}.issuperset(map(type, row)) for row in rows):
+        try:
+            return np.asarray(value, dtype=np.float64)
+        except (ValueError, OverflowError):  # ragged rows, an int beyond float range
+            pass
+    raise ValueError(f"{name} must be an array of numbers")
 
 
 def load_problem(path: str):

@@ -59,6 +59,15 @@ LIPSCHITZ_SAFETY = 1.01
 # ---------------------------------------------------------------------------
 
 
+def _block_indices(block) -> np.ndarray:
+    """``block`` as a flat index array.  A nonempty block must hold integers:
+    a float would be truncated, a bool read as index 0 or 1."""
+    idx = np.asarray(block)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"block indices must be integers, got {idx.dtype}")
+    return idx.astype(np.intp, copy=False).ravel()
+
+
 @dataclass(frozen=True, eq=False)
 class BlockPartition:
     """Ordered disjoint index blocks covering ``{0, ..., n-1}``.
@@ -75,11 +84,7 @@ class BlockPartition:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "blocks",
-            tuple(np.asarray(b, dtype=np.intp).ravel() for b in self.blocks),
-        )
+        object.__setattr__(self, "blocks", tuple(map(_block_indices, self.blocks)))
 
     @property
     def m(self) -> int:
@@ -417,7 +422,7 @@ class MatrixLeastSquares(_LinearLoss):
 
 
 def _check_block_indices(idx, dim: int) -> np.ndarray:
-    idx = np.asarray(idx, dtype=np.intp).ravel()
+    idx = _block_indices(idx)
     if idx.size == 0:
         raise ValueError("block is empty")
     ordered = np.sort(idx)

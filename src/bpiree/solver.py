@@ -8,7 +8,7 @@ with zero momentum whenever the extrapolated step increased the objective,
 which keeps the objective sequence nonincreasing.
 
 The iteration loop here runs every algorithm of the package: this block
-step, and the full-vector and sweep steps of the baselines.
+step, and the simultaneous and sequential steps of the baselines.
 """
 
 from __future__ import annotations
@@ -153,8 +153,8 @@ class Trace:
     one value per recorded iteration (``record_trace``).  ``step_rel`` uses
     full-vector norms; ``residual`` is NaN unless ``record_residual`` is
     on; ``beta`` is the momentum the accepted step used, ``block`` the
-    block it updated (-1 for a full-vector or sweep step), ``retried``
-    whether the safeguard redid it and ``wall_ns`` its time.  On a
+    block it updated (-1 for a baseline step, which moves every block),
+    ``retried`` whether the safeguard redid it and ``wall_ns`` its time.  On a
     smoothed-lp block run with at least one row ``eps_min``, ``eps_max``,
     ``support_size`` and ``sign_fixed`` follow.  ``eps`` is the final
     smoothing factors of a smoothed-lp run (the baselines keep ``eps0``).

@@ -1,5 +1,6 @@
 """Baselines: momentum clock, reweighted full-vector methods, block sweeps."""
 
+import functools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from bpiree.baselines import (
 from bpiree.experiments import build_problem, desk_spec
 from bpiree.model import (
     BlockPartition,
+    CustomPenalty,
     LeastSquares,
     LogPenalty,
     Problem,
@@ -241,17 +243,19 @@ def _norm(v):
 
 def _reference_baseline(algo, problem, config, x0):
     """Run one baseline written out as its own loop: the full-vector
-    methods step every coordinate with ``1/L`` for the whole operator and
-    recompute the residual; pire-ps steps every block from the sweep's
-    base point with weights frozen at sweep start and recomputes the
-    residual; pire-au walks the blocks with fresh weights and updates the
-    residual after each block.  Returns one ``(x bytes, F hex, step_rel
-    hex)`` row per iteration, the stop iteration and the status value."""
+    methods (pire, irl1, irl1e1) step every coordinate with ``1/L`` for the
+    whole operator and recompute the residual; pire-ps steps every block
+    from the sweep's base point with weights frozen at sweep start and
+    recomputes the residual; pire-au walks the blocks with fresh weights and
+    updates the residual after each block.  Every prox call takes the
+    penalty's ``g`` unscaled.  Returns one ``(x bytes, F hex, step_rel hex)``
+    row per iteration, the stop iteration and the status value."""
     loss, penalty = problem.loss, problem.penalty
     eps = np.full(loss.dim, config.eps0) if problem.smoothed_lp else None
     x = np.asarray(x0, dtype=np.float64).copy()
     r = loss.residual(x)
-    if algo in ("pire", "irl1e1"):
+    prox = functools.partial(block_prox_step, g=penalty.g, g_subgrad=penalty.g_subgrad)
+    if algo in ("pire", "irl1", "irl1e1"):
         alpha = 1.0 / loss.block_lipschitz(np.arange(loss.dim))
         clock = (1.0, 0)
         x_prev = x.copy()
@@ -260,7 +264,7 @@ def _reference_baseline(algo, problem, config, x0):
     rows = []
     for k in range(1, config.max_iter + 1):
         x_start = x.copy()
-        if algo in ("pire", "irl1e1"):
+        if algo in ("pire", "irl1", "irl1e1"):
             beta = 0.0
             if algo == "irl1e1":
                 beta, clock = _reference_clock(*clock, config.fista_restart_N)
@@ -270,7 +274,7 @@ def _reference_baseline(algo, problem, config, x0):
                 r_hat = loss.residual(x_hat)
             else:
                 x_hat, r_hat = x, r
-            x_new = block_prox_step(x_hat, loss.grad_from_residual(r_hat), alpha, w)
+            x_new = prox(x_hat, loss.grad_from_residual(r_hat), alpha, w)
             x_prev, x = x, x_new
             r = loss.residual(x)
         elif algo == "pire-ps":
@@ -278,13 +282,13 @@ def _reference_baseline(algo, problem, config, x0):
             x = x_start.copy()
             for b, (plan, idx) in enumerate(zip(problem.block_plans, problem.partition.blocks)):
                 grad = plan.grad_from_residual(r)
-                x[idx] = block_prox_step(x_start[idx], grad, alphas[b], w[idx])
+                x[idx] = prox(x_start[idx], grad, alphas[b], w[idx])
             r = loss.residual(x)
         else:
             for b, (plan, idx) in enumerate(zip(problem.block_plans, problem.partition.blocks)):
                 x_b = x[idx]
                 w = penalty.weights(x_b) if eps is None else penalty.weights(x_b, eps[idx])
-                new = block_prox_step(x_b, plan.grad_from_residual(r), alphas[b], w)
+                new = prox(x_b, plan.grad_from_residual(r), alphas[b], w)
                 r = plan.residual_after_delta(r, new - x_b)
                 x[idx] = new
         assert np.isfinite(x).all()
@@ -299,6 +303,7 @@ def _reference_baseline(algo, problem, config, x0):
 
 _SOLVERS = {
     "pire": pire_solve,
+    "irl1": irl1_solve,
     "irl1e1": irl1e1_solve,
     "pire-ps": pire_ps_solve,
     "pire-au": pire_au_solve,
@@ -310,19 +315,32 @@ class TestMatchesTranscription:
     bitwise equal to the transcription, and so are the stop iteration and
     the status.  The cap stops pire-ps on log_ls m=4, which diverges, before
     its objective overflows (at iteration 2153); :class:`TestDivergence`
-    covers what happens there."""
+    covers what happens there.  ``square_g`` has ``g(u) = u^2``, so its prox
+    steps take the bisection path (irl1 and irl1e1 reject it)."""
 
     CASES = [
         (example, m, algo)
         for example, m in (("log_ls", 1), ("log_ls", 4), ("matrix_lp", 5))
-        for algo in ("pire", "irl1e1", "pire-ps", "pire-au")
-    ]
+        for algo in ("pire", "irl1", "irl1e1", "pire-ps", "pire-au")
+    ] + [("square_g", m, algo) for m in (1, 4) for algo in ("pire", "pire-ps", "pire-au")]
+
+    @staticmethod
+    def square_g_problem(m):
+        """20x40 least squares with ``h(t) = t`` and ``g(u) = u^2``."""
+        rng = np.random.default_rng(5)
+        loss = LeastSquares(rng.standard_normal((20, 40)), rng.standard_normal(20))
+        penalty = CustomPenalty(lam=0.1, h=lambda t: t, h_prime=lambda t: 1.0,
+                                g=lambda u: u * u, g_subgrad=lambda u: (2.0 * u, 2.0 * u))
+        return Problem(loss, penalty, BlockPartition.contiguous(loss.dim, m))
 
     @pytest.mark.parametrize("example,m,algo", CASES)
     def test_every_iteration_bitwise(self, example, m, algo):
-        prob, _ = build_problem(desk_spec(example, seed=0, m=m))
+        if example == "square_g":
+            prob, max_iter = self.square_g_problem(m), 50
+        else:
+            prob, max_iter = build_problem(desk_spec(example, seed=0, m=m))[0], 2000
         x0 = np.zeros(prob.loss.dim)
-        config = SolverConfig(record_trace=True, max_iter=2000)
+        config = SolverConfig(record_trace=True, max_iter=max_iter)
         iterates = []
         _, trace, status = _SOLVERS[algo](
             prob, config, x0, callback=lambda k, x: iterates.append(x.tobytes())

@@ -18,8 +18,11 @@ from bpiree.solver import SolverConfig
 
 # Spec fields a desk config must not take: a wrong type (a bool sparsity
 # too), a penalty parameter out of range, m beyond the coordinates, the
-# ill-conditioned shape with n > q, a negative sparsity or seed.
+# ill-conditioned shape with n > q, a negative sparsity or seed; and --set
+# items without "=" or that descend into a non-object.
 BAD_SPEC_SETS = [
+    ("log_ls", ["seed"]),
+    ("log_ls", ["seed=1", "seed.x=1"]),
     ("log_ls", ["eps_bar=-1"]),
     ("log_ls", ['lam="abc"']),
     ("log_ls", ['noise_scale="a"']),
@@ -106,6 +109,31 @@ class TestGenerate:
         code, out = run_bad_spec("generate", tmp_path, example, sets)
         assert code == 2
         assert_config_error(capsys.readouterr(), out)
+
+    @pytest.mark.parametrize("text,sets,message", [
+        (None, [], "cannot read config: "),
+        ("{", [], "config is not valid JSON: "),
+        ("[1]", [], "config must be a JSON object"),
+        ('{"seed": 1}', [],
+         "field 'example' must be one of ['log_ls', 'matrix_lp'] to use --scale"),
+        ('{"example": "log_ls", "blob": "no"}', [], "blob must be true or false, got 'no'"),
+        ('{"example": "log_ls"}', ["blob=3"], "blob must be true or false, got 3"),
+    ], ids=["missing", "invalid-json", "list", "scale-without-example", "blob-string",
+            "blob-number"])
+    def test_bad_config_exits_two_without_instance(self, tmp_path, capsys, text, sets,
+                                                   message):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "inst.json"
+        argv = ["generate", "--config", str(cfg), "--scale", "desk", "--out", str(out)]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert_config_error(captured, out)
+        assert captured.err.startswith(f"config error: {message}")
+        assert not (tmp_path / "inst.json.A.bin").exists()
 
     def test_config_from_set_and_scale_alone(self, tmp_path):
         # a config can be assembled entirely from --set plus a scale preset
@@ -198,6 +226,26 @@ class TestSolve:
         assert main(["generate", "--config", str(cfg), "--out", inst]) == 0
         assert main(["solve", str(cfg), "--algo", "bpiree-lp"]) == 2  # wrong positional
         assert main(["solve", inst, "--config", str(cfg), "--algo", "bpiree-lp"]) == 0
+
+
+class TestIoFailure:
+    """A path that cannot be read or written exits 3 and leaves no file."""
+
+    @pytest.mark.parametrize("argv", [
+        lambda cfg, inst, missing: ["generate", "--config", cfg, "--out", missing],
+        lambda cfg, inst, missing: ["compare", "--config", cfg, "--out", missing],
+        lambda cfg, inst, missing: ["solve", inst, "--algo", "pire", "--trace", missing],
+        lambda cfg, inst, missing: ["solve", missing, "--algo", "pire"],
+    ], ids=["generate-out", "compare-out", "solve-trace", "solve-instance"])
+    def test_exits_three_without_file(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path)
+        inst = str(tmp_path / "inst.json")
+        assert main(["generate", "--config", cfg, "--out", inst]) == 0
+        before = sorted(os.listdir(tmp_path))
+        missing = str(tmp_path / "missing" / "out.json")
+        assert main(argv(cfg, inst, missing)) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 class TestLpOnlyAlgorithmOnLogInstance:
@@ -368,6 +416,13 @@ class TestMalformedInstance:
         (lambda doc: {**doc, "penalty": 3}, "penalty must be an object, got 3"),
         (lambda doc: [doc], "an instance must be a JSON object, got list"),
         (lambda doc: {**doc, "A": {"x": 1}}, "A must be an array of numbers"),
+        # JSON booleans are not numbers, though numpy reads them as 1.0 and 0.0
+        (lambda doc: {**doc, "A": [[True, *doc["A"][0][1:]], *doc["A"][1:]]},
+         "A must be an array of numbers"),
+        (lambda doc: {**doc, "b": [True, *doc["b"][1:]]}, "b must be an array of numbers"),
+        (lambda doc: {**doc, "x_true": [False, *doc["x_true"][1:]]},
+         "x_true must be an array of numbers"),
+        (lambda doc: {**doc, "b": [10**400, *doc["b"][1:]]}, "b must be an array of numbers"),
         (lambda doc: {**doc, "A": "foo.bin", "A_shape": 5},
          "A_shape must be two nonnegative integers, got 5"),
         # a log penalty has no p
@@ -376,7 +431,8 @@ class TestMalformedInstance:
         # a misspelled x_true must not drop the planted signal silently
         (lambda doc: {("x_ture" if key == "x_true" else key): value
                       for key, value in doc.items()}, "unknown field 'x_ture'"),
-    ], ids=["penalty-not-object", "document-list", "A-object", "A_shape-not-list",
+    ], ids=["penalty-not-object", "document-list", "A-object", "A-bool", "b-bool",
+            "x_true-bool", "b-int-overflow", "A_shape-not-list",
             "extra-penalty-key", "misspelled-x_true"])
     def test_exits_two_without_trace(self, tmp_path, capsys, edit, message):
         inst = tmp_path / "inst.json"

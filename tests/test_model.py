@@ -51,6 +51,14 @@ class TestValidatePartition:
         assert report.message == "block 0 is empty"
         assert report.index is None
 
+    @pytest.mark.parametrize("blocks,message", [
+        (([0.5, 1.2], [2.9]), "block indices must be integers, got float64"),
+        (([True], [0, 2]), "block indices must be integers, got bool"),
+    ], ids=["float", "bool"])
+    def test_non_integer_indices_rejected(self, blocks, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BlockPartition(blocks=blocks, n=3)
+
     @pytest.mark.parametrize("bad", [5, -1])
     def test_outside_range_reported(self, bad):
         part = BlockPartition(blocks=([0, bad], [1]), n=2)
@@ -274,7 +282,10 @@ class TestBlockPlanChecks:
         ([0, -1], "block indices must lie in 0..{last}"),
         ([0, "dim"], "block indices must lie in 0..{last}"),
         ([2, 0, 2], "block contains duplicate indices"),
-    ], ids=["empty", "negative", "past-the-end", "duplicate"])
+        # neither may be truncated or cast into a valid block
+        ([0.7, 1.9], "block indices must be integers, got float64"),
+        ([True], "block indices must be integers, got bool"),
+    ], ids=["empty", "negative", "past-the-end", "duplicate", "float", "bool"])
     def test_bad_block_rejected(self, kind, block, message):
         loss = self.LOSSES[kind]()
         block = [loss.dim if i == "dim" else i for i in block]
