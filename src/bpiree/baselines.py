@@ -14,30 +14,23 @@ The sequential (Gauss-Seidel) rule, ``_sequential_step``, is
 ``pire_au_solve``, alternative updating: the blocks step in order, each from
 the freshest iterate with its ``1/L_b``.  One sweep is one iteration.
 
-Every method runs in the block solver's loop (``solver._iterate``), so all
-share its stopping rule, trace columns and failure handling.  A baseline
-stops on the first small step, reports the objective with the smoothing
-factors held at ``eps0`` and produces no descent certificates.
+Every method runs in the block solver's loop (``solver._iterate``) and
+commits through ``solver._commit``, so all share the stopping rule, trace
+columns and failure handling.  A baseline stops on the first small step,
+reports the objective with the smoothing factors held at ``eps0`` and
+produces no descent certificates.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
 from .model import Problem, _lipschitz_bound
 from .momentum import fista_momentum
-from .prox import NumericalFailure, block_prox_step
-from .solver import (
-    NORM_FLOOR,
-    SolverConfig,
-    _iterate,
-    _norm,
-    _start_state,
-    _StepInfo,
-)
+from .prox import block_prox_step
+from .solver import SolverConfig, _commit, _iterate, _start_state, _StepInfo
 
 __all__ = [
     "pire_solve",
@@ -48,46 +41,32 @@ __all__ = [
 ]
 
 def _accept(state, problem, x_new, r_new, beta):
-    """Commit the move to ``x_new`` (residual ``r_new``) and return the
-    step's ``_StepInfo``, or raise :class:`NumericalFailure` if the
-    objective or the iterate is not finite.  The step's trace row carries
-    block id -1: it moved every block."""
+    """Commit the move to ``x_new`` (residual ``r_new``), which moved every
+    block (block id -1), and return the step's ``_StepInfo``."""
     f = problem.loss.value_from_residual(r_new)
     F = f + problem.penalty.value(x_new, state.eps)
-    k = state.k + 1
-    if not (math.isfinite(F) and np.isfinite(x_new).all()):
-        raise NumericalFailure(f"non-finite result at iteration {k} (F={F!r})")
-    step_rel = _norm(x_new - state.x) / max(_norm(state.x), NORM_FLOOR)
-    state.x_prev = state.x
-    state.x = x_new
-    state.residual = r_new
-    state.f = f
+    _, step_rel = _commit(state, -1, slice(None), x_new, r_new, f, F)
     state.F_current = F
-    state.k = k
     return _StepInfo(block=-1, beta_used=beta, retried=False, step_rel=step_rel)
 
 
 def _simultaneous_step(state, problem, config, alpha, grad_of, use_momentum):
     """pire, irl1, irl1e1 and pire-ps: every coordinate steps from the same
     point with stepsize ``alpha`` (a scalar, or one per coordinate);
-    ``grad_of(r)`` is the gradient at residual ``r``.  Scaling the gradient
-    and the weights by ``alpha`` and passing stepsize 1.0 gives the floats
-    of a call with stepsize ``alpha``, since ``1.0 * y == y``."""
+    ``grad_of(r)`` is the gradient at residual ``r``."""
     loss, penalty, x = problem.loss, problem.penalty, state.x
+    beta = 0.0
     if use_momentum:
         # iteration k = state.k + 1 sits at (k - 1) mod N in its restart period
         beta, state.t = fista_momentum(state.t, state.k % config.fista_restart_N)
-    else:
-        beta = 0.0
     w = penalty.weights(x, state.eps)
     if beta != 0.0:
         x_hat = x + beta * (x - state.x_prev)
         r_hat = loss.residual(x_hat)
     else:
         x_hat, r_hat = x, state.residual
-    x_new = block_prox_step(
-        x_hat, alpha * grad_of(r_hat), 1.0, alpha * w, g=penalty.g, g_subgrad=penalty.g_subgrad
-    )
+    x_new = block_prox_step(x_hat, grad_of(r_hat), alpha, w, g=penalty.g,
+                            g_subgrad=penalty.g_subgrad)
     return _accept(state, problem, x_new, loss.residual(x_new), beta)
 
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from .experiments import (
     ALGORITHMS,
+    BuildError,
     ExperimentSpec,
     SCALE_PRESETS,
     build_problem,
@@ -256,7 +257,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, BuildError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

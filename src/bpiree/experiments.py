@@ -46,6 +46,7 @@ __all__ = [
     "gen_gaussian_sensing",
     "gen_illconditioned",
     "gen_matrix_problem",
+    "BuildError",
     "build_problem",
     "rel_err",
     "SolverResult",
@@ -248,8 +249,14 @@ def make_penalty(spec: ExperimentSpec):
     return SmoothedLp(lam=spec.lam, p=spec.p)
 
 
+class BuildError(ValueError):
+    """A valid spec whose generated data the loss rejects (they overflow)."""
+
+
+@np.errstate(over="ignore")  # data that overflow are inf, which the loss rejects
 def build_problem(spec: ExperimentSpec):
-    """Materialize (Problem, x_true) for a spec; x_true is flattened column-major."""
+    """Materialize (Problem, x_true) for a spec; x_true is flattened
+    column-major.  Data the loss rejects raise :class:`BuildError`."""
     if spec.example == "log_ls":
         if spec.conditioning == "ill":
             A = gen_illconditioned(spec)
@@ -258,11 +265,15 @@ def build_problem(spec: ExperimentSpec):
             b = A @ x_true + spec.noise_scale * rng.standard_normal(spec.n)
         else:
             A, b, x_true = gen_gaussian_sensing(spec)
-        partition = BlockPartition.contiguous(spec.q, spec.m)
-        return Problem(LeastSquares(A, b), make_penalty(spec), partition), x_true
-    A, B, X_true, partition = gen_matrix_problem(spec)
-    loss = MatrixLeastSquares(A, B)
-    return Problem(loss, make_penalty(spec), partition), X_true.ravel(order="F")
+        loss_type, partition = LeastSquares, BlockPartition.contiguous(spec.q, spec.m)
+    else:
+        A, b, X_true, partition = gen_matrix_problem(spec)
+        loss_type, x_true = MatrixLeastSquares, X_true.ravel(order="F")
+    try:
+        loss = loss_type(A, b)
+    except ValueError as exc:
+        raise BuildError(f"cannot build the instance: {exc}") from exc
+    return Problem(loss, make_penalty(spec), partition), x_true
 
 
 # ---------------------------------------------------------------------------

@@ -502,6 +502,8 @@ class LogPenalty:
             raise ValueError("lam must be finite and nonnegative")
         if not 0 < self.eps_bar < np.inf:
             raise ValueError("eps_bar must be finite and positive")
+        if not math.isfinite(self.lam / self.eps_bar):  # the weight at 0
+            raise ValueError("lam / eps_bar overflows: eps_bar is too small")
 
     @functools.cached_property
     def _log_eps_bar(self):

@@ -4,7 +4,7 @@ Every block update reduces to coordinate-wise problems
 
     argmin_x  tau * g(x) + 0.5 * (x - v)^2,
 
-with effective weight ``tau = alpha * w_j``.  For ``g = |.|`` the solution
+with effective weight ``tau = alpha_j * w_j``.  For ``g = |.|`` the solution
 is the soft threshold; for a general convex ``g`` the unique minimizer is
 found by bisection on the monotone optimality map ``x - v + tau * dg(x)``.
 """
@@ -139,7 +139,7 @@ def prox_scalar_convex(
 def block_prox_step(
     x_hat,
     grad_block,
-    alpha: float,
+    alpha,
     weights,
     g: Optional[Callable[[float], float]] = None,
     g_subgrad: Optional[Callable[[float], Tuple[float, float]]] = None,
@@ -147,23 +147,25 @@ def block_prox_step(
 ) -> np.ndarray:
     """Exact solution of one block subproblem.
 
-    Minimizes ``<grad, x> + (1/(2*alpha)) * ||x - x_hat||^2 + sum_j w_j g(x_j)``
-    coordinate-wise: the prox of ``g`` with center ``x_hat_j - alpha*grad_j``
-    and effective weight ``alpha * w_j``.  Uses the closed-form soft
-    threshold when ``g`` is the absolute value (``g=None``) and bisection
-    otherwise.
+    Minimizes ``<grad, x> + sum_j (x_j - x_hat_j)^2 / (2*alpha_j) + w_j g(x_j)``
+    coordinate-wise for one stepsize ``alpha`` or one per coordinate: the
+    prox of ``g`` with center ``x_hat_j - alpha_j*grad_j`` and weight
+    ``alpha_j * w_j``, by soft threshold for ``g=None`` (``|.|``), else bisection.
 
-    Raises ``ValueError`` on unequal lengths, ``alpha <= 0`` and negative
-    or NaN weights.  Unlike :func:`prox_weighted_abs` it does not check
-    that ``x_hat`` and the gradient are finite: the iteration loop calls
-    it on every block step, with finite data, and checks each new iterate.
+    Raises ``ValueError`` on unequal lengths, a zero, negative or NaN
+    stepsize and negative or NaN weights.  Unlike :func:`prox_weighted_abs`
+    it does not check that ``x_hat`` and the gradient are finite: the loop
+    calls it on every step, with finite data, and checks each new iterate.
     """
     x_hat = np.asarray(x_hat, dtype=np.float64).ravel()
     grad_block = np.asarray(grad_block, dtype=np.float64).ravel()
     weights = np.asarray(weights, dtype=np.float64).ravel()
     if not (x_hat.shape == grad_block.shape == weights.shape):
         raise ValueError("x_hat, grad_block and weights must have equal length")
-    if alpha <= 0:
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.ndim and alpha.shape != x_hat.shape:
+        raise ValueError("alpha must be a scalar or one stepsize per coordinate")
+    if not alpha.min(initial=np.inf) > 0:  # false for NaN too
         raise ValueError("stepsize alpha must be positive")
     # one reduction rejects negative and NaN weights alike
     if weights.size and not weights.min() >= 0:

@@ -115,9 +115,11 @@ class SolverConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.momentum not in MOMENTUM_MODES:
             raise ValueError(f"unknown momentum mode {self.momentum!r}")
-        for name in ("max_iter", "tol", "eps0", "fista_restart_N", "support_window"):
+        for name in ("max_iter", "tol", "fista_restart_N", "support_window"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not self.eps0 >= EPS_FLOOR:
+            raise ValueError(f"eps0 must be at least the smoothing floor {EPS_FLOOR}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -185,9 +187,9 @@ class _StepInfo:
 class SolverState:
     """Mutable iteration state.
 
-    ``x_prev`` is the extrapolation anchor: on each block the value before
-    the block's last update (the baselines keep the whole previous iterate
-    there).  ``t`` is the FISTA value of the restarted momentum sequence and
+    ``x_prev`` is the extrapolation anchor: each coordinate's value before
+    its last move; only :func:`_commit` writes it and ``x``, in place.
+    ``t`` is the FISTA value of the restarted momentum sequence and
     ``last_block_L`` holds the blocks' fixed curvature constants.  ``eps``
     is present only for the smoothed-lp penalty.  On smoothed-lp problems
     the block solver also sets ``sign_run_start``, the iteration at which
@@ -339,6 +341,24 @@ def init_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
     return state
 
 
+def _commit(state: SolverState, block: int, idx, new, residual, f: float, F: float):
+    """Write a step's move to ``x[idx]``, ``x_prev[idx]``, ``residual``, ``f``
+    and ``k``; return its norm and relative size.  A non-finite ``F`` or
+    ``new`` raises :class:`NumericalFailure` and commits nothing."""
+    k = state.k + 1
+    if not (math.isfinite(F) and np.isfinite(new).all()):
+        raise NumericalFailure(f"non-finite result at iteration {k} (block {block}, F={F!r})")
+    old = state.x[idx]  # a view for a slice index: saved before it is overwritten
+    step_norm = _norm(new - old)
+    step_rel = step_norm / max(_norm(state.x), NORM_FLOOR)
+    state.x_prev[idx] = old
+    state.x[idx] = new
+    state.residual = residual
+    state.f = f
+    state.k = k
+    return step_norm, step_rel
+
+
 def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> _StepInfo:
     """Run one iteration in place and return what it did (block, momentum,
     retry flag, relative step and, with ``check_descent``, the descent
@@ -372,8 +392,7 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> _
     if k <= 2 * partition.m:
         beta = 0.0
 
-    # x_block and eps_block are views for a slice index: read them before
-    # the block is written back below.
+    # x_block and eps_block are views for a slice index, read before _commit
     x_block = state.x[idx]
     prev_diff = x_block - state.x_prev[idx]
     eps_block = state.eps[idx] if state.eps is not None else None
@@ -403,22 +422,7 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> _
         new_block, r_new, f_new, pen_block, F_new = attempt(beta)
         retried = True
 
-    if not (math.isfinite(F_new) and np.isfinite(new_block).all()):
-        raise NumericalFailure(
-            f"non-finite result at iteration {k} (block {b}, F={F_new!r})"
-        )
-
-    step_vec = new_block - x_block
-    step_norm = _norm(step_vec)
-    denom = max(_norm(state.x), NORM_FLOOR)
-    step_rel = step_norm / denom
-
-    state.x_prev[idx] = x_block
-    state.x[idx] = new_block
-    state.residual = r_new
-    state.f = f_new
-    state.k = k
-
+    step_norm, step_rel = _commit(state, b, idx, new_block, r_new, f_new, F_new)
     if eps_block is not None:
         new_eps = np.maximum(
             SmoothedLp.decay_epsilon(new_block, eps_block, config.mu), EPS_FLOOR

@@ -17,9 +17,11 @@ from bpiree.solver import SolverConfig
 
 
 # Spec fields a desk config must not take: a wrong type (a bool sparsity
-# too), a penalty parameter out of range, m beyond the coordinates, the
-# ill-conditioned shape with n > q, a negative sparsity or seed; and --set
-# items without "=" or that descend into a non-object.
+# too), a penalty parameter out of range, an eps_bar whose largest weight
+# overflows, m beyond the coordinates, the ill-conditioned shape with n > q,
+# a negative sparsity or seed, an eps0 below the smoothing floor, a noise
+# scale that overflows the data of any example; and --set items without
+# "=" or that descend into a non-object.
 BAD_SPEC_SETS = [
     ("log_ls", ["seed"]),
     ("log_ls", ["seed=1", "seed.x=1"]),
@@ -33,6 +35,11 @@ BAD_SPEC_SETS = [
     ("log_ls", ["sparsity=-3"]),
     ("log_ls", ["seed=-1"]),
     ("matrix_lp", ["p=1.5"]),
+    ("log_ls", ["eps_bar=1e-320"]),
+    ("matrix_lp", ["solver.eps0=1e-200"]),
+    ("log_ls", ["noise_scale=1e308"]),
+    ("log_ls", ["noise_scale=1e308", 'conditioning="ill"']),
+    ("matrix_lp", ["noise_scale=1e308"]),
 ]
 
 
@@ -226,6 +233,19 @@ class TestSolve:
         assert main(["generate", "--config", str(cfg), "--out", inst]) == 0
         assert main(["solve", str(cfg), "--algo", "bpiree-lp"]) == 2  # wrong positional
         assert main(["solve", inst, "--config", str(cfg), "--algo", "bpiree-lp"]) == 0
+
+    def test_eps0_below_floor_exits_two(self, tmp_path, capsys):
+        # eps0 under the smoothing floor once ended Converged at x = 0
+        inst = str(tmp_path / "inst.json")
+        assert main(["generate", "--set", 'example="matrix_lp"', "--scale", "desk",
+                     "--out", inst]) == 0
+        capsys.readouterr()
+        trace = tmp_path / "trace.csv"
+        assert main(["solve", inst, "--algo", "bpiree-lp", "--set", "solver.eps0=1e-200",
+                     "--trace", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert_config_error(captured, trace)
+        assert "eps0 must be at least" in captured.err
 
 
 class TestIoFailure:
@@ -428,12 +448,15 @@ class TestMalformedInstance:
         # a log penalty has no p
         (lambda doc: {**doc, "penalty": {**doc["penalty"], "p": 0.5}},
          "unknown penalty field 'p'"),
+        # lam / eps_bar, the weight at 0, overflows
+        (lambda doc: {**doc, "penalty": {**doc["penalty"], "eps_bar": 1e-320}},
+         "lam / eps_bar overflows: eps_bar is too small"),
         # a misspelled x_true must not drop the planted signal silently
         (lambda doc: {("x_ture" if key == "x_true" else key): value
                       for key, value in doc.items()}, "unknown field 'x_ture'"),
     ], ids=["penalty-not-object", "document-list", "A-object", "A-bool", "b-bool",
             "x_true-bool", "b-int-overflow", "A_shape-not-list",
-            "extra-penalty-key", "misspelled-x_true"])
+            "extra-penalty-key", "eps_bar-overflows", "misspelled-x_true"])
     def test_exits_two_without_trace(self, tmp_path, capsys, edit, message):
         inst = tmp_path / "inst.json"
         assert main(["generate", "--config", write_config(tmp_path), "--out", str(inst)]) == 0
@@ -558,6 +581,16 @@ class TestCompare:
         code, out = run_bad_spec("compare", tmp_path, example, sets)
         assert code == 2
         assert_config_error(capsys.readouterr(), out)
+
+    def test_later_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        # only data the loss rejects while the instance is built exit 2
+        def fail(spec):
+            raise ValueError("not a build failure")
+
+        monkeypatch.setattr("bpiree.cli.run_comparison", fail)
+        with pytest.raises(ValueError, match="not a build failure"):
+            main(["compare", "--config", write_config(tmp_path),
+                  "--out", str(tmp_path / "r.json")])
 
     @pytest.mark.parametrize("section", ["3", "[1]", '"x"'])
     def test_non_object_solver_section_exits_two(self, tmp_path, capsys, section):

@@ -232,3 +232,28 @@ class TestBlockProxStep:
         expected = prox_weighted_abs(x_hat - alpha * grad, alpha * weights)
         out = block_prox_step(x_hat, grad, alpha, weights)
         assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("g", [None, "square"])
+    def test_per_coordinate_alpha_matches_prescaled_call(self, g):
+        # a stepsize per coordinate gives the floats of the call with the
+        # gradient and weights scaled by it and stepsize 1.0, since 1.0*y == y
+        rng = np.random.default_rng(8)
+        x_hat, grad = rng.standard_normal(40), rng.standard_normal(40)
+        weights = rng.uniform(0, 1, size=40)
+        alpha = rng.uniform(0.1, 2.0, size=40)
+        kw = {} if g is None else {"g": lambda x: x * x, "g_subgrad": lambda x: (2 * x, 2 * x)}
+        out = block_prox_step(x_hat, grad, alpha, weights, **kw)
+        prescaled = block_prox_step(x_hat, alpha * grad, 1.0, alpha * weights, **kw)
+        assert out.tobytes() == prescaled.tobytes()
+
+    @pytest.mark.parametrize("alpha, match", [
+        (np.array([0.5, 0.0, 0.5]), "positive"),
+        (np.array([0.5, -1.0, 0.5]), "positive"),
+        (np.array([0.5, np.nan, 0.5]), "positive"),
+        (np.nan, "positive"),
+        (np.array([0.5, 0.5]), "one stepsize per coordinate"),
+        (np.full((3, 2), 0.5), "one stepsize per coordinate"),
+    ])
+    def test_rejects_bad_stepsizes(self, alpha, match):
+        with pytest.raises(ValueError, match=match):
+            block_prox_step(np.ones(3), np.ones(3), alpha, np.ones(3))

@@ -1,6 +1,7 @@
 """Block solver: scheduling, extrapolation, descent, stopping, diagnostics."""
 
 import dataclasses
+import functools
 import math
 from types import SimpleNamespace
 
@@ -15,7 +16,9 @@ from bpiree.model import (
     Problem,
     SmoothedLp,
 )
+from bpiree import baselines, solver
 from bpiree.experiments import build_problem, desk_spec
+from bpiree.prox import NumericalFailure
 from bpiree.solver import (
     EPS_FLOOR,
     SolveStatus,
@@ -179,6 +182,61 @@ class TestBpireeStep:
         expected = np.sign(v) * np.maximum(np.abs(v) - alpha * prob.penalty.weights(x0), 0.0)
         bpiree_step(state, prob, config)
         np.testing.assert_allclose(state.x, expected, rtol=1e-12)
+
+
+class TestCommit:
+    """Every step writes ``x``, ``x_prev``, the residual, ``f`` and ``k``
+    through ``solver._commit``: in place, and not at all for a non-finite
+    move."""
+
+    KINDS = ("block", "simultaneous", "sequential")
+
+    @staticmethod
+    def _setup(kind):
+        """(module whose prox the step calls, block label, step, problem, config, state)"""
+        rng = np.random.default_rng(2)
+        prob = quadratic_problem(rng.standard_normal((5, 4)), rng.standard_normal(5),
+                                 lam=1e-2, eps_bar=0.1, m=1 if kind == "block" else 2)
+        config = SolverConfig()
+        x0 = rng.standard_normal(4)
+        if kind == "block":
+            return solver, "block 0", bpiree_step, prob, config, init_state(prob, config, x0)
+        if kind == "simultaneous":
+            step = functools.partial(baselines._simultaneous_step, alpha=0.1,
+                                     grad_of=prob.loss.grad_from_residual, use_momentum=False)
+        else:
+            step = functools.partial(baselines._sequential_step, alphas=[0.1, 0.1])
+        return baselines, "block -1", step, prob, config, solver._start_state(prob, config, x0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_finite_move_commits_nothing(self, monkeypatch, kind):
+        module, block, step, prob, config, state = self._setup(kind)
+        monkeypatch.setattr(module, "block_prox_step",
+                            lambda x_hat, *args, **kwargs: np.full(len(x_hat), np.inf))
+        before = (state.x, state.x.copy(), state.x_prev.copy(), state.residual,
+                  state.f, state.k, state.F_current)
+        with pytest.raises(NumericalFailure,
+                           match=rf"^non-finite result at iteration 1 \({block}, F="), \
+                np.errstate(all="ignore"):  # the residual of an inf move is NaN
+            step(state, prob, config)
+        assert state.x is before[0]
+        assert state.x.tobytes() == before[1].tobytes()
+        assert state.x_prev.tobytes() == before[2].tobytes()
+        assert state.residual is before[3]
+        assert (state.f, state.k, state.F_current) == before[4:]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_move_is_written_in_place(self, kind):
+        _, _, step, prob, config, state = self._setup(kind)
+        x, x_prev, old = state.x, state.x_prev, state.x.copy()
+        info = step(state, prob, config)
+        assert state.x is x and state.x_prev is x_prev
+        assert state.x_prev.tobytes() == old.tobytes()
+        assert state.k == 1
+        assert info.step_rel == pytest.approx(
+            np.linalg.norm(state.x - old) / np.linalg.norm(old), rel=1e-12)
+        np.testing.assert_allclose(state.residual, prob.loss.residual(state.x),
+                                   rtol=1e-12, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +632,8 @@ class TestConfigValidation:
             dict(momentum="bogus"),
             dict(tol=0.0),
             dict(max_iter=0),
+            dict(eps0=0.0),
+            dict(eps0=EPS_FLOOR / 2),
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
