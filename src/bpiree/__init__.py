@@ -23,9 +23,7 @@ from .prox import (
     NumericalFailure,
     block_prox_step,
     prox_scalar_convex,
-    prox_weighted_abs,
 )
-from .momentum import fista_momentum
 from .solver import (
     CertificateRecord,
     SolveStatus,
@@ -37,6 +35,7 @@ from .solver import (
     choose_block,
     descent_certificate,
     extrapolation_bound,
+    fista_momentum,
     init_state,
     solve,
     stationarity_residual,
@@ -79,7 +78,6 @@ __all__ = [
     "NumericalFailure",
     "block_prox_step",
     "prox_scalar_convex",
-    "prox_weighted_abs",
     "fista_momentum",
     "CertificateRecord",
     "SolveStatus",

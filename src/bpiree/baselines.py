@@ -28,9 +28,8 @@ import functools
 import numpy as np
 
 from .model import Problem, _lipschitz_bound
-from .momentum import fista_momentum
 from .prox import block_prox_step
-from .solver import SolverConfig, _commit, _iterate, _start_state, _StepInfo
+from .solver import SolverConfig, _commit, _iterate, _start_state, _StepInfo, fista_momentum
 
 __all__ = [
     "pire_solve",

@@ -5,18 +5,15 @@ with ``0 < p < 1``.  Each accepted block update shrinks the smoothing
 factor of every coordinate that landed on a nonzero value by ``sqrt(mu)``
 and leaves zero coordinates untouched; after finitely many iterations the
 sign pattern of the iterate stops changing, which the run's
-:class:`SupportReport` makes observable.
+:class:`~bpiree.solver.SupportReport` makes observable.
 """
 
 from __future__ import annotations
 
 from .model import Problem, SmoothedLp
-from .solver import SolverConfig, SupportReport, solve_state
+from .solver import SolverConfig, solve_state
 
-__all__ = [
-    "solve_lp",
-    "SupportReport",
-]
+__all__ = ["solve_lp"]
 
 
 def solve_lp(problem: Problem, config: SolverConfig, x0, callback=None):

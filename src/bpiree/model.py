@@ -99,11 +99,6 @@ class BlockPartition:
         return tuple(_as_index(b) for b in self.blocks)
 
     @staticmethod
-    def single(n: int) -> "BlockPartition":
-        """The trivial partition with one block covering everything."""
-        return BlockPartition(blocks=(np.arange(n),), n=n)
-
-    @staticmethod
     def contiguous(n: int, m: int) -> "BlockPartition":
         """Split ``{0..n-1}`` into ``m`` contiguous ranges whose sizes differ by at most 1."""
         if not (1 <= m <= n):
@@ -232,21 +227,17 @@ def _lipschitz_bound(norm_sq: float) -> float:
 
 
 class _VectorBlockPlan:
-    """Cached column submatrix for fast block updates of a least-squares loss."""
+    """Cached column submatrix and Lipschitz bound of a least-squares block."""
 
-    def __init__(self, A_sub: np.ndarray, norm_sq):
+    def __init__(self, A_sub: np.ndarray, lipschitz: float):
         self.A_sub = A_sub
-        self._norm_sq = norm_sq  # the loss's operator_norm_sq
+        self.lipschitz = lipschitz
 
     def grad_from_residual(self, r):
         return self.A_sub.T @ r
 
     def residual_after_delta(self, r, delta):
         return r + self.A_sub @ delta
-
-    @functools.cached_property
-    def lipschitz(self) -> float:
-        return _lipschitz_bound(self._norm_sq(self.A_sub))
 
 
 class _LinearLoss:
@@ -307,6 +298,9 @@ class LeastSquares(_LinearLoss):
             )
         _check_finite("A", A)
         _check_finite("b", b)
+        with np.errstate(over="ignore"):  # the loss at 0, where every solve starts
+            if not math.isfinite(self.value_from_residual(b)):
+                raise ValueError("b is too large: 0.5*||b||^2 overflows")
         self.A = A
         self.b = b
 
@@ -329,7 +323,8 @@ class LeastSquares(_LinearLoss):
         return self.A[:, idx].T @ self.residual(x)
 
     def _plan(self, idx) -> _VectorBlockPlan:
-        return _VectorBlockPlan(_columns(self.A, idx), self.operator_norm_sq)
+        A_sub = _columns(self.A, idx)
+        return _VectorBlockPlan(A_sub, _lipschitz_bound(self.operator_norm_sq(A_sub)))
 
 
 class _MatrixBlockPlan:
@@ -340,10 +335,10 @@ class _MatrixBlockPlan:
     column, so the block Hessian is block diagonal across groups.
     """
 
-    def __init__(self, groups, norm_sq):
+    def __init__(self, groups, lipschitz: float):
         # groups: list of (matrix column, positions inside the block, A[:, rows])
         self.groups = groups
-        self._norm_sq = norm_sq
+        self.lipschitz = lipschitz
         # the same groups with each position array as a slice where it can be
         self._parts = [(col, _as_index(pos), A_sub) for col, pos, A_sub in groups]
         self._size = sum(pos.size for _, pos, _ in groups)
@@ -359,10 +354,6 @@ class _MatrixBlockPlan:
         for col, pos, A_sub in self._parts:
             r[:, col] += A_sub @ delta[pos]
         return r
-
-    @functools.cached_property
-    def lipschitz(self) -> float:
-        return _lipschitz_bound(max(self._norm_sq(A_sub) for _, _, A_sub in self.groups))
 
 
 class MatrixLeastSquares(_LinearLoss):
@@ -384,6 +375,9 @@ class MatrixLeastSquares(_LinearLoss):
             )
         _check_finite("A", A)
         _check_finite("B", B)
+        with np.errstate(over="ignore"):  # the loss at 0, where every solve starts
+            if not math.isfinite(self.value_from_residual(B)):
+                raise ValueError("B is too large: 0.5*||B||_F^2 overflows")
         self.A = A
         self.B = B
         self.q = A.shape[1]
@@ -418,7 +412,8 @@ class MatrixLeastSquares(_LinearLoss):
             rows = flat[lo:hi] - col * self.q
             A_sub = self.A if rows.size == self.q else _columns(self.A, rows)
             groups.append((col, order[lo:hi], A_sub))
-        return _MatrixBlockPlan(groups, self.operator_norm_sq)
+        norm_sq = max(self.operator_norm_sq(A_sub) for _, _, A_sub in groups)
+        return _MatrixBlockPlan(groups, _lipschitz_bound(norm_sq))
 
 
 def _check_block_indices(idx, dim: int) -> np.ndarray:

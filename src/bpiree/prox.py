@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "NumericalFailure",
     "abs_subgrad",
-    "prox_weighted_abs",
     "prox_scalar_convex",
     "block_prox_step",
 ]
@@ -27,24 +26,6 @@ __all__ = [
 
 class NumericalFailure(RuntimeError):
     """A numeric routine could not produce a finite, trustworthy result."""
-
-
-def prox_weighted_abs(v, tau):
-    """Soft threshold: ``argmin_x tau*|x| + 0.5*(x - v)^2``.
-
-    Accepts scalars or arrays (applied elementwise).  Requires finite
-    inputs and ``tau >= 0``.
-    """
-    v_arr = np.asarray(v, dtype=np.float64)
-    tau_arr = np.asarray(tau, dtype=np.float64)
-    if not (np.isfinite(v_arr).all() and np.isfinite(tau_arr).all()):
-        raise ValueError("prox_weighted_abs requires finite inputs")
-    if (tau_arr < 0).any():
-        raise ValueError("threshold tau must be nonnegative")
-    out = np.copysign(np.maximum(np.abs(v_arr) - tau_arr, 0.0), v_arr)
-    if np.isscalar(v) and np.isscalar(tau):
-        return float(out)
-    return out
 
 
 def abs_subgrad(x: float) -> Tuple[float, float]:
@@ -153,9 +134,9 @@ def block_prox_step(
     ``alpha_j * w_j``, by soft threshold for ``g=None`` (``|.|``), else bisection.
 
     Raises ``ValueError`` on unequal lengths, a zero, negative or NaN
-    stepsize and negative or NaN weights.  Unlike :func:`prox_weighted_abs`
-    it does not check that ``x_hat`` and the gradient are finite: the loop
-    calls it on every step, with finite data, and checks each new iterate.
+    stepsize and negative or NaN weights.  It does not check that ``x_hat``
+    and the gradient are finite: the loop calls it on every step, with
+    finite data, and checks each new iterate.
     """
     x_hat = np.asarray(x_hat, dtype=np.float64).ravel()
     grad_block = np.asarray(grad_block, dtype=np.float64).ravel()
@@ -174,6 +155,5 @@ def block_prox_step(
     v = x_hat - alpha * grad_block
     tau = alpha * weights
     if g is None:
-        # prox_weighted_abs's soft threshold, without its finiteness pass
         return np.copysign(np.maximum(np.abs(v) - tau, 0.0), v)
     return np.array([prox_scalar_convex(vj, tj, g, g_subgrad, tol) for vj, tj in zip(v, tau)])

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .model import Problem, SmoothedLp, _norm, check_field_types
-from .momentum import fista_momentum
 from .prox import NumericalFailure, block_prox_step
 
 __all__ = [
@@ -36,6 +35,7 @@ __all__ = [
     "Trace",
     "choose_block",
     "extrapolation_bound",
+    "fista_momentum",
     "init_state",
     "bpiree_step",
     "solve",
@@ -267,6 +267,19 @@ def extrapolation_bound(gamma: float, delta: float) -> float:
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     return delta * (gamma - 1.0) / (2.0 * (gamma + 1.0))
+
+
+def fista_momentum(t: float, j: int):
+    """One step of the restarted recurrence t_next = (1 + sqrt(1 + 4 t^2))/2.
+
+    ``j`` is the step's position in its restart period; ``j = 0`` restarts
+    from ``t = 1``, so its momentum is 0.  Returns ``(beta, t_next)`` with
+    ``beta = (t - 1) / t_next``.
+    """
+    if j == 0:
+        t = 1.0
+    t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t**2))
+    return (t - 1.0) / t_next, t_next
 
 
 def descent_certificate(

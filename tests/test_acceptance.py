@@ -9,7 +9,6 @@ finishes in well under a minute.
 import json
 import math
 import statistics
-import time
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from bpiree.model import (
     MatrixLeastSquares,
     SmoothedLp,
 )
-from bpiree.prox import prox_scalar_convex, prox_weighted_abs
+from bpiree.prox import abs_subgrad, block_prox_step, prox_scalar_convex
 from bpiree.solver import (
     SolveStatus,
     SolverConfig,
@@ -72,13 +71,14 @@ def example2_runs():
 
 
 def test_criterion_1_prox_oracle_equivalence():
-    """Soft threshold vs 1e5-point grid (1e-4) and bisection (1e-8), < 5 s."""
-    t_start = time.perf_counter()
+    """Soft threshold vs 1e5-point grid (1e-4) and bisection (1e-8); each
+    bisection within its oracle-call bound."""
     rng = np.random.default_rng(2024)
     n_pairs = 10_000
     v = rng.uniform(-8.0, 8.0, n_pairs)
     tau = rng.uniform(0.0, 4.0, n_pairs)
-    closed = prox_weighted_abs(v, tau)
+    # the solvers' soft threshold: center v - 1.0*0 = v, weight 1.0*tau = tau
+    closed = block_prox_step(v, np.zeros(n_pairs), 1.0, tau)
 
     G = 100_000
     frac = np.arange(G) / (G - 1.0)
@@ -100,18 +100,36 @@ def test_criterion_1_prox_oracle_equivalence():
         x_grid = lo + width * (int(np.argmin(work)) / (G - 1.0))
         worst_grid = max(worst_grid, abs(x_grid - closed[i]))
 
-    worst_bisect = 0.0
-    for i in range(n_pairs):
-        x_gen = prox_scalar_convex(float(v[i]), float(tau[i]), tol=1e-8)
-        worst_bisect = max(worst_bisect, abs(x_gen - closed[i]))
+    # the bracket [min(v,0) - tau, max(v,0) + tau] needs no expansion for
+    # |.|, so a bisection makes 3 oracle calls (at v and both ends) plus one
+    # per halving of its width down to 2*tol
+    tol = 1e-8
+    calls = 0
 
-    elapsed = time.perf_counter() - t_start
-    ok = worst_grid <= 1e-4 and worst_bisect <= 1e-8 and elapsed < 5.0
+    def counted_subgrad(x):
+        nonlocal calls
+        calls += 1
+        return abs_subgrad(x)
+
+    worst_bisect = 0.0
+    over_bound = differ = 0
+    for i in range(n_pairs):
+        x_gen = prox_scalar_convex(float(v[i]), float(tau[i]), tol=tol)
+        worst_bisect = max(worst_bisect, abs(x_gen - closed[i]))
+        calls = 0
+        x_counted = prox_scalar_convex(float(v[i]), float(tau[i]), g=abs,
+                                       g_subgrad=counted_subgrad, tol=tol)
+        differ += x_counted != x_gen
+        bound = 3 + math.ceil(math.log2((abs(v[i]) + 2 * tau[i]) / (2 * tol)))
+        over_bound += calls > bound
+
+    ok = worst_grid <= 1e-4 and worst_bisect <= 1e-8 and over_bound == differ == 0
     report(
         1,
         ok,
         f"grid gap {worst_grid:.2e} (<=1e-4), bisection gap {worst_bisect:.2e} "
-        f"(<=1e-8), {elapsed:.2f}s (<5s)",
+        f"(<=1e-8), {over_bound} bisections over their call bound, "
+        f"{differ} differing from the g=abs route",
     )
 
 

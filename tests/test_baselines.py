@@ -21,11 +21,11 @@ from bpiree.model import (
     LogPenalty,
     Problem,
 )
-from bpiree.momentum import fista_momentum
 from bpiree.prox import block_prox_step
 from bpiree.solver import (
     SolveStatus,
     SolverConfig,
+    fista_momentum,
     solve,
     stationarity_residual,
 )
@@ -137,7 +137,7 @@ class TestIrl1:
         loss = LeastSquares(np.eye(2), np.zeros(2))
         pen = CustomPenalty(lam=1.0, h=lambda t: t, h_prime=lambda t: 1.0,
                             g=lambda u: u * u)
-        prob = Problem(loss, pen, BlockPartition.single(2))
+        prob = Problem(loss, pen, BlockPartition.contiguous(2, 1))
         with pytest.raises(ValueError):
             irl1_solve(prob, SolverConfig(), np.zeros(2))
         with pytest.raises(ValueError, match="irl1e1 requires the absolute-value g"):

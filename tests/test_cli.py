@@ -20,8 +20,8 @@ from bpiree.solver import SolverConfig
 # too), a penalty parameter out of range, an eps_bar whose largest weight
 # overflows, m beyond the coordinates, the ill-conditioned shape with n > q,
 # a negative sparsity or seed, an eps0 below the smoothing floor, a noise
-# scale that overflows the data of any example; and --set items without
-# "=" or that descend into a non-object.
+# scale that overflows the data of any example, or only the loss at 0 of
+# each; and --set items without "=" or that descend into a non-object.
 BAD_SPEC_SETS = [
     ("log_ls", ["seed"]),
     ("log_ls", ["seed=1", "seed.x=1"]),
@@ -40,6 +40,9 @@ BAD_SPEC_SETS = [
     ("log_ls", ["noise_scale=1e308"]),
     ("log_ls", ["noise_scale=1e308", 'conditioning="ill"']),
     ("matrix_lp", ["noise_scale=1e308"]),
+    ("log_ls", ["noise_scale=1e200"]),
+    ("log_ls", ["noise_scale=1e200", 'conditioning="ill"']),
+    ("matrix_lp", ["noise_scale=1e200"]),
 ]
 
 
@@ -443,6 +446,9 @@ class TestMalformedInstance:
         (lambda doc: {**doc, "x_true": [False, *doc["x_true"][1:]]},
          "x_true must be an array of numbers"),
         (lambda doc: {**doc, "b": [10**400, *doc["b"][1:]]}, "b must be an array of numbers"),
+        # finite data whose loss at 0 overflows
+        (lambda doc: {**doc, "b": [1e200, *doc["b"][1:]]},
+         "b is too large: 0.5*||b||^2 overflows"),
         (lambda doc: {**doc, "A": "foo.bin", "A_shape": 5},
          "A_shape must be two nonnegative integers, got 5"),
         # a log penalty has no p
@@ -455,7 +461,7 @@ class TestMalformedInstance:
         (lambda doc: {("x_ture" if key == "x_true" else key): value
                       for key, value in doc.items()}, "unknown field 'x_ture'"),
     ], ids=["penalty-not-object", "document-list", "A-object", "A-bool", "b-bool",
-            "x_true-bool", "b-int-overflow", "A_shape-not-list",
+            "x_true-bool", "b-int-overflow", "b-loss-overflow", "A_shape-not-list",
             "extra-penalty-key", "eps_bar-overflows", "misspelled-x_true"])
     def test_exits_two_without_trace(self, tmp_path, capsys, edit, message):
         inst = tmp_path / "inst.json"

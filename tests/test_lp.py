@@ -90,7 +90,7 @@ class TestSolveLp:
         from bpiree.model import LogPenalty
 
         loss = LeastSquares(np.eye(2), np.zeros(2))
-        prob = Problem(loss, LogPenalty(lam=1.0, eps_bar=1.0), BlockPartition.single(2))
+        prob = Problem(loss, LogPenalty(lam=1.0, eps_bar=1.0), BlockPartition.contiguous(2, 1))
         with pytest.raises(ValueError):
             solve_lp(prob, SolverConfig(), np.zeros(2))
 
@@ -224,9 +224,9 @@ class TestSupportReport:
 
     def test_one_class_under_every_name(self):
         import bpiree
-        from bpiree import lp, solver
+        from bpiree import solver
 
-        assert lp.SupportReport is solver.SupportReport is bpiree.SupportReport
+        assert solver.SupportReport is bpiree.SupportReport
 
 
 class TestLpTrace:

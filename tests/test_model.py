@@ -378,7 +378,7 @@ class TestProblem:
     def test_partition_dimension_checked(self):
         loss = LeastSquares(np.eye(3), np.zeros(3))
         with pytest.raises(ValueError):
-            Problem(loss, LogPenalty(lam=1.0, eps_bar=1.0), BlockPartition.single(2))
+            Problem(loss, LogPenalty(lam=1.0, eps_bar=1.0), BlockPartition.contiguous(2, 1))
 
     def test_invalid_partition_rejected(self):
         loss = LeastSquares(np.eye(2), np.zeros(2))
@@ -422,6 +422,17 @@ class TestNonFiniteData:
         data[operand].flat[-1] = math.nan
         with pytest.raises(ValueError, match=rf"^{operand} has non-finite entries"):
             MatrixLeastSquares(data["A"], data["B"])
+
+    @pytest.mark.parametrize("make", [
+        lambda big: LeastSquares(np.eye(2), np.array([big, 0.0])),
+        lambda big: MatrixLeastSquares(np.eye(2), np.array([[big, 0.0], [0.0, 0.0]])),
+    ], ids=["vector", "matrix"])
+    def test_loss_at_zero_must_be_finite(self, make):
+        # finite data, but 0.5*big**2 overflows; pytest turns the numpy
+        # overflow warning into an error, so the check raises none
+        make(1e154)
+        with pytest.raises(ValueError, match="too large: 0.5"):
+            make(1e155)
 
 
 class TestBlockIndex:
@@ -468,7 +479,7 @@ class TestBlockPlans:
     def test_single_block_plan_is_the_matrix(self):
         A = np.random.default_rng(0).standard_normal((5, 8))
         loss = LeastSquares(A, np.zeros(5))
-        problem = Problem(loss, LogPenalty(lam=1.0, eps_bar=1.0), BlockPartition.single(8))
+        problem = Problem(loss, LogPenalty(lam=1.0, eps_bar=1.0), BlockPartition.contiguous(8, 1))
         (plan,) = problem.block_plans
         assert np.shares_memory(plan.A_sub, loss.A)
         assert plan.lipschitz == max(model.spectral_norm_sq(A) * 1.01, 1e-12)

@@ -10,8 +10,14 @@ from bpiree.prox import (
     abs_subgrad,
     block_prox_step,
     prox_scalar_convex,
-    prox_weighted_abs,
 )
+
+
+def soft_threshold(v, tau):
+    """``argmin_x tau*|x| + 0.5*(x - v)^2`` of one pair, by the solvers'
+    kernel: the block step with zero gradient and stepsize 1 has center
+    ``v - 1.0*0 = v`` and weight ``1.0*tau = tau``."""
+    return float(block_prox_step([v], [0.0], 1.0, [tau])[0])
 
 
 def grid_argmin(v, tau, g=abs, lo=None, hi=None, points=100_001):
@@ -26,27 +32,23 @@ def grid_argmin(v, tau, g=abs, lo=None, hi=None, points=100_001):
 
 
 class TestProxWeightedAbs:
+    """The soft threshold, as the solvers run it in ``block_prox_step``."""
+
     def test_shift_by_threshold(self):
-        assert prox_weighted_abs(3.0, 1.0) == 2.0
+        assert soft_threshold(3.0, 1.0) == 2.0
 
     def test_dead_zone(self):
-        assert prox_weighted_abs(0.5, 1.0) == 0.0
+        assert soft_threshold(0.5, 1.0) == 0.0
 
     def test_identity_at_zero_weight(self):
-        assert prox_weighted_abs(-2.0, 0.0) == -2.0
+        assert soft_threshold(-2.0, 0.0) == -2.0
 
     def test_rejects_negative_tau(self):
         with pytest.raises(ValueError):
-            prox_weighted_abs(1.0, -0.5)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            prox_weighted_abs(np.inf, 1.0)
-        with pytest.raises(ValueError):
-            prox_weighted_abs(1.0, np.nan)
+            soft_threshold(1.0, -0.5)
 
     def test_vectorized(self):
-        out = prox_weighted_abs(np.array([3.0, -3.0, 0.2]), np.array([1.0, 1.0, 1.0]))
+        out = block_prox_step(np.array([3.0, -3.0, 0.2]), np.zeros(3), 1.0, np.ones(3))
         np.testing.assert_allclose(out, [2.0, -2.0, 0.0])
 
     @given(
@@ -56,7 +58,7 @@ class TestProxWeightedAbs:
     @settings(max_examples=200, deadline=None)
     def test_optimality_inclusion(self, v, tau):
         # 0 in (x - v) + tau * d|x| at the returned point
-        x = prox_weighted_abs(v, tau)
+        x = soft_threshold(v, tau)
         lo, hi = abs_subgrad(x)
         assert (x - v) + tau * lo <= 1e-9
         assert (x - v) + tau * hi >= -1e-9
@@ -68,7 +70,7 @@ class TestProxWeightedAbs:
     )
     @settings(max_examples=200, deadline=None)
     def test_nonexpansive(self, v1, v2, tau):
-        d = abs(prox_weighted_abs(v1, tau) - prox_weighted_abs(v2, tau))
+        d = abs(soft_threshold(v1, tau) - soft_threshold(v2, tau))
         assert d <= abs(v1 - v2) + 1e-12
 
     def test_matches_grid_oracle(self):
@@ -76,7 +78,7 @@ class TestProxWeightedAbs:
         for _ in range(50):
             v = rng.uniform(-8, 8)
             tau = rng.uniform(0, 4)
-            assert prox_weighted_abs(v, tau) == pytest.approx(
+            assert soft_threshold(v, tau) == pytest.approx(
                 grid_argmin(v, tau), abs=1e-4
             )
 
@@ -120,7 +122,7 @@ class TestProxScalarConvex:
     @settings(max_examples=150, deadline=None)
     def test_agrees_with_closed_form(self, v, tau):
         x = prox_scalar_convex(v, tau, tol=1e-10)
-        assert x == pytest.approx(prox_weighted_abs(v, tau), abs=1e-9)
+        assert x == pytest.approx(soft_threshold(v, tau), abs=1e-9)
 
     def test_optimality_certificate(self):
         # bisection guarantee: 0 lies in the optimality map's image of the
@@ -225,11 +227,13 @@ class TestBlockProxStep:
             block_prox_step(np.ones(2), np.ones(2), 1.0, np.array([np.nan, 1.0]))
 
     def test_matches_prox_weighted_abs(self):
+        # the soft threshold of center x_hat - alpha*grad at weight alpha*w
         rng = np.random.default_rng(5)
         x_hat, grad = rng.standard_normal(50), rng.standard_normal(50)
         weights = rng.uniform(0, 1, size=50)
         alpha = 0.37
-        expected = prox_weighted_abs(x_hat - alpha * grad, alpha * weights)
+        v, tau = x_hat - alpha * grad, alpha * weights
+        expected = np.copysign(np.maximum(np.abs(v) - tau, 0.0), v)
         out = block_prox_step(x_hat, grad, alpha, weights)
         assert out.tobytes() == expected.tobytes()
 

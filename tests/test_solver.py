@@ -353,7 +353,7 @@ def _vector_problem(partition_kind):
     A = rng.standard_normal((30, 60)) @ np.diag(np.linspace(0.2, 3.0, 60))
     b = rng.standard_normal(30)
     partition = {
-        "single": BlockPartition.single(60),
+        "single": BlockPartition.contiguous(60, 1),
         "contiguous": BlockPartition.contiguous(60, 4),
         "shuffled": _shuffled_blocks(rng, 60, 4),
     }[partition_kind]
@@ -368,7 +368,7 @@ def _matrix_problem(partition_kind):
     X[rng.choice(q, 3, replace=False)] = rng.standard_normal((3, t))
     B = A @ X + 0.01 * rng.standard_normal((10, t))
     partition = {
-        "single": BlockPartition.single(q * t),
+        "single": BlockPartition.contiguous(q * t, 1),
         "contiguous": BlockPartition.contiguous(q * t, 3),  # parts of columns too
         "shuffled": _shuffled_blocks(rng, q * t, 3),
     }[partition_kind]
@@ -586,7 +586,7 @@ class TestStationarityResidual:
         pen = CustomPenalty(
             lam=1.0, h=lambda t: t, h_prime=lambda t: 1.0, g=lambda u: u * u
         )
-        prob = Problem(loss, pen, BlockPartition.single(1))
+        prob = Problem(loss, pen, BlockPartition.contiguous(1, 1))
         with pytest.raises(NotImplementedError):
             stationarity_residual(prob, np.zeros(1))
 
