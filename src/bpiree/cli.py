@@ -10,9 +10,9 @@ Every command is deterministic given its config: all randomness flows
 from the config seed through numpy's PCG64 generator.  ``--set key=value``
 (repeatable, dotted keys allowed, values parsed as JSON when possible)
 overrides config entries; ``--scale desk|paper`` fills in preset problem
-dimensions.  The env var ``BPIREE_LOG`` in {error, info, debug} controls
-logging.  Output files are written via temp-file-then-rename, so failures
-never leave partial files.
+dimensions, and desk matrix_lp's ``lam``.  The env var ``BPIREE_LOG`` in
+{error, info, debug} controls logging.  Output files are written via
+temp-file-then-rename, so failures never leave partial files.
 
 Exit codes: 0 success (solve: converged), 2 malformed config or instance,
 unknown algorithm or an algorithm the instance does not support (bpiree-lp
@@ -219,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run configuration")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--scale", choices=("desk", "paper"),
-                       help="fill missing dimensions from a preset")
+                       help="fill missing dimensions (and desk matrix_lp lam) from a preset")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a config entry (repeatable)")
 

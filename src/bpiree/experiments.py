@@ -65,7 +65,7 @@ SCALE_PRESETS = {
         "paper": dict(n=1000, q=3000, sparsity=50),
     },
     "matrix_lp": {
-        "desk": dict(n=50, q=100, t=10, m=5),
+        "desk": dict(n=50, q=100, t=10, m=5, lam=0.015),
         "paper": dict(n=100, q=500, t=50, m=10),
     },
 }
@@ -131,8 +131,8 @@ class ExperimentSpec:
         coordinates = self.q * self.t if self.example == "matrix_lp" else self.q
         if self.m > coordinates:
             raise ValueError(f"m must not exceed the {coordinates} coordinates, got {self.m}")
-        if self.sparsity < 0 or (self.sparsity >= 1 and self.sparsity % 1):
-            raise ValueError("sparsity must be a fraction in [0, 1) or a whole count")
+        if self.sparsity <= 0 or (self.sparsity >= 1 and self.sparsity % 1):
+            raise ValueError("sparsity must be a positive count or a fraction in (0, 1)")
         if self.nnz() >= self.q:
             raise ValueError("sparsity must be less than q")
         if self.example == "log_ls" and self.conditioning == "ill" and self.n > self.q:
@@ -175,11 +175,8 @@ class ExperimentSpec:
 
 def desk_spec(example: str, seed: int = 0, **overrides) -> ExperimentSpec:
     """Desk-scale spec for an example, with optional field overrides."""
-    base = dict(SCALE_PRESETS[example]["desk"])
-    if example == "matrix_lp":
-        base.update(lam=0.015)
-    base.update(overrides)
-    return ExperimentSpec(example=example, seed=seed, **base)
+    return ExperimentSpec(example=example, seed=seed,
+                          **{**SCALE_PRESETS[example]["desk"], **overrides})
 
 
 # ---------------------------------------------------------------------------

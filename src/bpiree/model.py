@@ -52,6 +52,9 @@ __all__ = [
 LIPSCHITZ_FLOOR = 1e-12
 # Safety factor compensating for power iteration converging from below.
 LIPSCHITZ_SAFETY = 1.01
+# Power iteration: relative tolerance on the estimate, and iteration cap.
+POWER_ITER_TOL = 1e-8
+POWER_ITER_MAX = 500
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +165,7 @@ def _norm(v) -> float:
     return math.sqrt(v.dot(v))
 
 
-def spectral_norm_sq(M: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> float:
+def spectral_norm_sq(M: np.ndarray) -> float:
     """Squared spectral norm of ``M`` by power iteration on ``M^T M``.
 
     Deterministic (fixed seeded start vector).  Converges from below, so
@@ -175,7 +178,7 @@ def spectral_norm_sq(M: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> f
     v = np.random.default_rng(0).standard_normal(k)
     v /= _norm(v)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_ITER_MAX):
         w = M @ v
         u = M.T @ w
         lam_new = float(v @ u)
@@ -183,7 +186,7 @@ def spectral_norm_sq(M: np.ndarray, tol: float = 1e-8, max_iter: int = 500) -> f
         if nu == 0.0:
             return 0.0
         v = u / nu
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1.0):
+        if abs(lam_new - lam) <= POWER_ITER_TOL * max(abs(lam_new), 1.0):
             return lam_new
         lam = lam_new
     return lam
@@ -261,8 +264,9 @@ class _LinearLoss:
 
     def block_lipschitz(self, idx) -> float:
         """Upper bound on the Lipschitz constant of the gradient block ``idx``:
-        the squared spectral norm of the block operator (power iteration, tol
-        1e-8, at most 500 iterations) times 1.01, floored at 1e-12."""
+        the squared spectral norm of the block operator (power iteration to a
+        relative change of ``POWER_ITER_TOL``, at most ``POWER_ITER_MAX``
+        iterations) times ``LIPSCHITZ_SAFETY``, floored at 1e-12."""
         return self.block_plan(idx).lipschitz
 
     def _check_x(self, x) -> np.ndarray:

@@ -124,7 +124,6 @@ def block_prox_step(
     weights,
     g: Optional[Callable[[float], float]] = None,
     g_subgrad: Optional[Callable[[float], Tuple[float, float]]] = None,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """Exact solution of one block subproblem.
 
@@ -156,4 +155,4 @@ def block_prox_step(
     tau = alpha * weights
     if g is None:
         return np.copysign(np.maximum(np.abs(v) - tau, 0.0), v)
-    return np.array([prox_scalar_convex(vj, tj, g, g_subgrad, tol) for vj, tj in zip(v, tau)])
+    return np.array([prox_scalar_convex(vj, tj, g, g_subgrad) for vj, tj in zip(v, tau)])

@@ -1,7 +1,9 @@
 """Baselines: momentum clock, reweighted full-vector methods, block sweeps."""
 
 import functools
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from bpiree.baselines import (
     pire_ps_solve,
     pire_solve,
 )
-from bpiree.experiments import build_problem, desk_spec
+from bpiree.experiments import SolverEntry, build_problem, desk_spec, make_solver_config
 from bpiree.model import (
     BlockPartition,
     CustomPenalty,
@@ -199,6 +201,36 @@ class TestSweepMethods:
         _, tr_au, s_au = pire_au_solve(prob, cfg, np.zeros(2))
         assert s_ps is SolveStatus.CONVERGED and s_au is SolveStatus.CONVERGED
         assert tr_au.iterations < tr_ps.iterations
+
+    @pytest.mark.parametrize("seed", [0, 13, 17])
+    def test_au_and_ps_coincide_on_whole_column_blocks(self, seed):
+        # desk matrix_lp blocks are whole columns of X, which share no residual
+        # entry, so the sequential sweep takes the simultaneous step up to the
+        # rounding of its incremental residual
+        spec = desk_spec("matrix_lp", seed=seed)
+        prob, _ = build_problem(spec)
+        assert all(blk[0] % spec.q == 0 and blk.size % spec.q == 0
+                   for blk in prob.partition.blocks)
+        config = make_solver_config(spec, SolverEntry("pire-au"))  # as in compare
+        x0 = np.zeros(prob.loss.dim)
+        _, tr_au, s_au = pire_au_solve(prob, config, x0)
+        _, tr_ps, s_ps = pire_ps_solve(prob, config, x0)
+        assert s_au is s_ps is SolveStatus.CONVERGED
+        assert tr_au.iterations == tr_ps.iterations
+        F_au, F_ps = tr_au.columns["F"][-1], tr_ps.columns["F"][-1]
+        assert abs(F_au - F_ps) <= 1e-12 * abs(F_ps)
+
+    def test_au_and_ps_coincide_in_the_bench_reference(self):
+        # the same premise on the benchmark's 64 recorded desk matrix_lp compares
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                            "reference.json")
+        with open(path) as f:
+            instances = json.load(f)["cli_desk"]["instances"]
+        assert len(instances) == 64
+        for inst, rows in instances.items():
+            au, ps = rows["lp.compare.pire-au"], rows["lp.compare.pire-ps"]
+            assert (au["iters"], au["F_final"]) == (ps["iters"], ps["F_final"]), inst
+            assert au["rel_err_true"] == pytest.approx(ps["rel_err_true"], rel=1.4e-13, abs=0)
 
     def test_monotone_on_matrix_instance(self):
         prob, _ = build_problem(desk_spec("matrix_lp", seed=0))

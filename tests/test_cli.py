@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from bpiree.cli import main
-from bpiree.experiments import ALGORITHMS
-from bpiree.io import load_problem
+from bpiree.experiments import ALGORITHMS, build_problem, desk_spec
+from bpiree.io import load_problem, save_problem
 from bpiree.lp import solve_lp
 from bpiree.solver import SolverConfig
 
@@ -19,9 +19,10 @@ from bpiree.solver import SolverConfig
 # Spec fields a desk config must not take: a wrong type (a bool sparsity
 # too), a penalty parameter out of range, an eps_bar whose largest weight
 # overflows, m beyond the coordinates, the ill-conditioned shape with n > q,
-# a negative sparsity or seed, an eps0 below the smoothing floor, a noise
-# scale that overflows the data of any example, or only the loss at 0 of
-# each; and --set items without "=" or that descend into a non-object.
+# a negative seed, a negative or zero sparsity (an int 0 would plant no
+# signal), an eps0 below the smoothing floor, a noise scale that overflows
+# the data of any example, or only the loss at 0 of each; and --set items
+# without "=" or that descend into a non-object.
 BAD_SPEC_SETS = [
     ("log_ls", ["seed"]),
     ("log_ls", ["seed=1", "seed.x=1"]),
@@ -43,6 +44,10 @@ BAD_SPEC_SETS = [
     ("log_ls", ["noise_scale=1e200"]),
     ("log_ls", ["noise_scale=1e200", 'conditioning="ill"']),
     ("matrix_lp", ["noise_scale=1e200"]),
+    ("log_ls", ["sparsity=0"]),
+    ("log_ls", ["sparsity=0.0"]),
+    ("matrix_lp", ["sparsity=0"]),
+    ("matrix_lp", ["sparsity=0.0"]),
 ]
 
 
@@ -106,6 +111,20 @@ class TestGenerate:
         assert main(["generate", "--config", str(cfg), "--scale", "desk", "--out", out]) == 0
         doc = json.loads(open(out).read())
         assert len(doc["b"]) == 100  # desk preset n
+
+    @pytest.mark.parametrize("example", ["log_ls", "matrix_lp"])
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_scale_desk_builds_the_desk_spec_instance(self, tmp_path, example, seed):
+        # one desk preset: the CLI fills what desk_spec fills, lam included
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"example": example}))
+        out = tmp_path / "cli.json"
+        argv = ["generate", "--config", str(cfg), "--scale", "desk", "--seed", str(seed),
+                "--out", str(out)]
+        assert main(argv) == 0
+        problem, x_true = build_problem(desk_spec(example, seed=seed))
+        save_problem(str(tmp_path / "lib.json"), problem, x_true=x_true)
+        assert out.read_bytes() == (tmp_path / "lib.json").read_bytes()
 
     def test_set_override(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -150,12 +150,18 @@ class TestSpecValidation:
         ("log_ls", dict(m=301), "m must not exceed the 300 coordinates, got 301"),
         ("matrix_lp", dict(m=1001), "m must not exceed the 1000 coordinates, got 1001"),
         ("log_ls", dict(sparsity=True), "sparsity must be a finite number, got True"),
-        ("log_ls", dict(sparsity=-3), "sparsity must be a fraction in [0, 1) or a whole count"),
-        ("log_ls", dict(sparsity=2.5), "sparsity must be a fraction in [0, 1) or a whole count"),
+        ("log_ls", dict(sparsity=-3),
+         "sparsity must be a positive count or a fraction in (0, 1)"),
+        ("log_ls", dict(sparsity=2.5),
+         "sparsity must be a positive count or a fraction in (0, 1)"),
         ("log_ls", dict(seed=-1), "solver 'bpiree': seed must be nonnegative"),
         ("log_ls", dict(n=0), "field 'n' must be a positive integer"),
         ("matrix_lp", dict(p=1.5), "p must lie in (0, 1)"),
         ("matrix_lp", dict(lam=-1.0), "lam must be finite and nonnegative"),
+        ("log_ls", dict(sparsity=0),
+         "sparsity must be a positive count or a fraction in (0, 1)"),
+        ("matrix_lp", dict(sparsity=0.0),
+         "sparsity must be a positive count or a fraction in (0, 1)"),
     ])
     def test_build_preconditions_checked_up_front(self, example, fields, message):
         with pytest.raises(ValueError) as info:
