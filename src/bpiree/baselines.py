@@ -69,9 +69,9 @@ def _simultaneous_step(state, problem, config, alpha, grad_of, use_momentum):
     return _accept(state, problem, x_new, loss.residual(x_new), beta)
 
 
-def _sequential_step(state, problem, config, alphas):
-    """pire-au: one sweep over the blocks, each block stepping from the
-    freshest iterate with its stepsize ``alphas[b]``.
+def _sequential_step(state, problem, config, plans, alphas):
+    """pire-au: one sweep over the blocks with their ``plans``, each block
+    stepping from the freshest iterate with its stepsize ``alphas[b]``.
 
     The penalty is separable and no earlier block of the sweep moves a
     block's coordinates, so the weights at the sweep's base point are the
@@ -79,7 +79,7 @@ def _sequential_step(state, problem, config, alphas):
     penalty = problem.penalty
     x, r = state.x.copy(), state.residual
     w = penalty.weights(state.x, state.eps)
-    for idx, plan, alpha in zip(problem.partition.index, problem.block_plans, alphas):
+    for idx, plan, alpha in zip(problem.partition.index, plans, alphas):
         x_b = x[idx]  # a view for a slice index; written back last
         new_block = block_prox_step(
             x_b, plan.grad_from_residual(r), alpha, w[idx],
@@ -90,10 +90,10 @@ def _sequential_step(state, problem, config, alphas):
     return _accept(state, problem, x, r, 0.0)
 
 
-def _plan_grad(problem, r):
-    """The gradient at residual ``r``, gathered from the block plans."""
+def _plan_grad(problem, plans, r):
+    """The gradient at residual ``r``, gathered from the block ``plans``."""
     grad = np.empty(problem.loss.dim)
-    for idx, plan in zip(problem.partition.index, problem.block_plans):
+    for idx, plan in zip(problem.partition.index, plans):
         grad[idx] = plan.grad_from_residual(r)
     return grad
 
@@ -146,14 +146,16 @@ def pire_ps_solve(problem: Problem, config: SolverConfig, x0, callback=None):
     stepsize ``1/L_b``; one sweep is one iteration of the stopping rule.
     """
     alpha = np.empty(problem.loss.dim)
-    for idx, plan in zip(problem.partition.index, problem.block_plans):
-        alpha[idx] = 1.0 / plan.lipschitz
+    for idx, L in zip(problem.partition.index, problem.lipschitz):
+        alpha[idx] = 1.0 / L
     return _run(problem, config, x0, callback, _simultaneous_step, alpha=alpha,
-                grad_of=functools.partial(_plan_grad, problem), use_momentum=False)
+                grad_of=functools.partial(_plan_grad, problem, problem.block_plans()),
+                use_momentum=False)
 
 
 def pire_au_solve(problem: Problem, config: SolverConfig, x0, callback=None):
     """Alternative-updating sweeps: blocks step sequentially within a sweep,
     each from the freshest iterate with its own stepsize ``1/L_b``."""
-    alphas = [1.0 / plan.lipschitz for plan in problem.block_plans]
-    return _run(problem, config, x0, callback, _sequential_step, alphas=alphas)
+    alphas = [1.0 / L for L in problem.lipschitz]
+    return _run(problem, config, x0, callback, _sequential_step,
+                plans=problem.block_plans(), alphas=alphas)

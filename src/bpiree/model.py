@@ -326,9 +326,11 @@ class LeastSquares(_LinearLoss):
         idx = _check_block_indices(idx, self.dim)
         return self.A[:, idx].T @ self.residual(x)
 
-    def _plan(self, idx) -> _VectorBlockPlan:
+    def _plan(self, idx, lipschitz=None) -> _VectorBlockPlan:
         A_sub = _columns(self.A, idx)
-        return _VectorBlockPlan(A_sub, _lipschitz_bound(self.operator_norm_sq(A_sub)))
+        if lipschitz is None:
+            lipschitz = _lipschitz_bound(self.operator_norm_sq(A_sub))
+        return _VectorBlockPlan(A_sub, lipschitz)
 
 
 class _MatrixBlockPlan:
@@ -403,7 +405,7 @@ class MatrixLeastSquares(_LinearLoss):
     def block_grad(self, x, idx) -> np.ndarray:
         return self.block_plan(idx).grad_from_residual(self.residual(x))
 
-    def _plan(self, idx) -> _MatrixBlockPlan:
+    def _plan(self, idx, lipschitz=None) -> _MatrixBlockPlan:
         # ascending flat indices run by column, then by row: one sort groups
         # the block, and a full-column group (rows 0..q-1) shares A itself
         order = np.argsort(idx)
@@ -416,8 +418,10 @@ class MatrixLeastSquares(_LinearLoss):
             rows = flat[lo:hi] - col * self.q
             A_sub = self.A if rows.size == self.q else _columns(self.A, rows)
             groups.append((col, order[lo:hi], A_sub))
-        norm_sq = max(self.operator_norm_sq(A_sub) for _, _, A_sub in groups)
-        return _MatrixBlockPlan(groups, _lipschitz_bound(norm_sq))
+        if lipschitz is None:
+            norm_sq = max(self.operator_norm_sq(A_sub) for _, _, A_sub in groups)
+            lipschitz = _lipschitz_bound(norm_sq)
+        return _MatrixBlockPlan(groups, lipschitz)
 
 
 def _check_block_indices(idx, dim: int) -> np.ndarray:
@@ -552,6 +556,8 @@ class SmoothedLp:
         return self.lam * self.p * (np.abs(x) + eps**2) ** (self.p - 1.0)
 
     def value(self, x, eps=None) -> float:
+        if eps is None:
+            raise ValueError("SmoothedLp penalty requires smoothing factors")
         return self.lam * float(((np.abs(x) + np.asarray(eps) ** 2) ** self.p).sum())
 
     @staticmethod
@@ -581,6 +587,7 @@ class CustomPenalty:
     g_subgrad: Optional[Callable[[float], tuple]] = None
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0 <= self.lam < np.inf:
             raise ValueError("lam must be finite and nonnegative")
 
@@ -606,9 +613,10 @@ class Problem:
     """Immutable bundle of loss, penalty and block partition.
 
     Safe to share across concurrent solver runs; all solver operations
-    treat it as read-only.  The problem owns its block plans (block
-    operators and their Lipschitz bounds, see :attr:`block_plans`): they
-    are built on first use and freed together with the problem.
+    treat it as read-only.  The problem keeps only the blocks' Lipschitz
+    bounds (:attr:`lipschitz`, estimated on first use).  Each solve builds
+    its own block operators with :meth:`block_plans` and frees them when
+    it returns, so a problem never pins copies of ``A``'s columns.
     """
 
     loss: object
@@ -630,10 +638,15 @@ class Problem:
         return isinstance(self.penalty, SmoothedLp)
 
     @functools.cached_property
+    def lipschitz(self) -> tuple:
+        """Each block's Lipschitz bound, in partition order, estimated once
+        per problem; each block's operator is built for it and dropped."""
+        return tuple(self.loss._plan(b).lipschitz for b in self.partition.blocks)
+
     def block_plans(self) -> tuple:
-        """One plan per block, in partition order, built from the partition
-        :meth:`__post_init__` validated, so the blocks are not checked again."""
-        return tuple(self.loss._plan(b) for b in self.partition.blocks)
+        """Fresh block plans (operators) with the cached bounds, from the
+        partition :meth:`__post_init__` validated; the caller owns them."""
+        return tuple(map(self.loss._plan, self.partition.blocks, self.lipschitz))
 
 
 def eval_objective(loss, penalty, x, eps=None) -> float:

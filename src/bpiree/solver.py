@@ -190,7 +190,9 @@ class SolverState:
     ``x_prev`` is the extrapolation anchor: each coordinate's value before
     its last move; only :func:`_commit` writes it and ``x``, in place.
     ``t`` is the FISTA value of the restarted momentum sequence and
-    ``last_block_L`` holds the blocks' fixed curvature constants.  ``eps``
+    ``last_block_L`` holds the blocks' fixed curvature constants
+    (``problem.lipschitz``); ``plans`` are this solve's own block operators
+    (``problem.block_plans()``), freed with the state.  ``eps``
     is present only for the smoothed-lp penalty.  On smoothed-lp problems
     the block solver also sets ``sign_run_start``, the iteration at which
     the sign pattern of ``x`` last changed (None elsewhere).
@@ -213,6 +215,7 @@ class SolverState:
     F_current: float
     x_prev: Optional[np.ndarray] = None
     last_block_L: Optional[np.ndarray] = None
+    plans: tuple = field(default=(), repr=False)
     k: int = 0
     eps: Optional[np.ndarray] = None
     t: float = 1.0
@@ -345,7 +348,8 @@ def init_state(problem: Problem, config: SolverConfig, x0) -> SolverState:
     state = _start_state(problem, config, x0)
     x, eps = state.x, state.eps
     blocks = problem.partition.index
-    state.last_block_L = np.array([plan.lipschitz for plan in problem.block_plans])
+    state.last_block_L = np.array(problem.lipschitz)
+    state.plans = problem.block_plans()
     state.block_pen = [
         problem.penalty.value(x[b], None if eps is None else eps[b]) for b in blocks
     ]
@@ -385,7 +389,7 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> _
     k = state.k + 1
     b = choose_block(config.schedule, k, partition.m, config.seed)
     idx = partition.index[b]
-    plan = problem.block_plans[b]
+    plan = state.plans[b]
 
     L_curr = plan.lipschitz
     alpha = 1.0 / (config.gamma * L_curr)

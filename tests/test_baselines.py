@@ -292,7 +292,8 @@ def _reference_baseline(algo, problem, config, x0):
         clock = (1.0, 0)
         x_prev = x.copy()
     else:
-        alphas = [1.0 / plan.lipschitz for plan in problem.block_plans]
+        plans = problem.block_plans()
+        alphas = [1.0 / plan.lipschitz for plan in plans]
     rows = []
     for k in range(1, config.max_iter + 1):
         x_start = x.copy()
@@ -312,12 +313,12 @@ def _reference_baseline(algo, problem, config, x0):
         elif algo == "pire-ps":
             w = penalty.weights(x_start, eps)
             x = x_start.copy()
-            for b, (plan, idx) in enumerate(zip(problem.block_plans, problem.partition.blocks)):
+            for b, (plan, idx) in enumerate(zip(plans, problem.partition.blocks)):
                 grad = plan.grad_from_residual(r)
                 x[idx] = prox(x_start[idx], grad, alphas[b], w[idx])
             r = loss.residual(x)
         else:
-            for b, (plan, idx) in enumerate(zip(problem.block_plans, problem.partition.blocks)):
+            for b, (plan, idx) in enumerate(zip(plans, problem.partition.blocks)):
                 x_b = x[idx]
                 w = penalty.weights(x_b) if eps is None else penalty.weights(x_b, eps[idx])
                 new = prox(x_b, plan.grad_from_residual(r), alphas[b], w)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bpiree import model
-from bpiree.baselines import irl1_solve, pire_au_solve, pire_solve
+from bpiree.baselines import irl1_solve, pire_au_solve, pire_ps_solve, pire_solve
 from bpiree.experiments import build_problem, desk_spec
 from bpiree.model import (
     BlockPartition,
@@ -340,6 +340,10 @@ class TestPenalties:
         with pytest.raises(ValueError, match="requires smoothing factors"):
             pen.weights(np.array([1.0]))
 
+    def test_smoothed_lp_value_requires_eps(self):
+        with pytest.raises(ValueError, match="^SmoothedLp penalty requires smoothing factors$"):
+            SmoothedLp(lam=1.0, p=0.5).value(np.array([1.0]))
+
     def test_custom_penalty_matches_log(self):
         log_pen = LogPenalty(lam=0.7, eps_bar=0.2)
         custom = CustomPenalty(
@@ -410,7 +414,7 @@ class TestNonFiniteData:
             lambda bad: CustomPenalty(lam=bad, h=abs, h_prime=lambda t: 1.0),
         ],
     )
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True, "0.5"])
     def test_penalty_parameters(self, make, bad):
         with pytest.raises(ValueError, match="finite|lie in"):
             make(bad)
@@ -451,7 +455,7 @@ class TestBlockIndex:
 
     def test_matrix_plan_positions_stay_arrays(self):
         problem, _ = build_problem(desk_spec("matrix_lp", seed=0, m=3))
-        for plan in problem.block_plans:
+        for plan in problem.block_plans():
             for _col, pos, _A in plan.groups:
                 assert isinstance(pos, np.ndarray) and pos.dtype == np.intp
 
@@ -480,7 +484,7 @@ class TestBlockPlans:
         A = np.random.default_rng(0).standard_normal((5, 8))
         loss = LeastSquares(A, np.zeros(5))
         problem = Problem(loss, LogPenalty(lam=1.0, eps_bar=1.0), BlockPartition.contiguous(8, 1))
-        (plan,) = problem.block_plans
+        (plan,) = problem.block_plans()
         assert np.shares_memory(plan.A_sub, loss.A)
         assert plan.lipschitz == max(model.spectral_norm_sq(A) * 1.01, 1e-12)
 
@@ -489,7 +493,7 @@ class TestBlockPlans:
         loss = LeastSquares(A, np.zeros(5))
         partition = BlockPartition(blocks=([0, 1, 2], [5, 3], [4, 6, 7]), n=8)
         problem = Problem(loss, LogPenalty(lam=1.0, eps_bar=1.0), partition)
-        for idx, plan in zip(partition.blocks, problem.block_plans):
+        for idx, plan in zip(partition.blocks, problem.block_plans()):
             assert plan.A_sub.flags.c_contiguous
             assert not np.shares_memory(plan.A_sub, loss.A)
             np.testing.assert_array_equal(plan.A_sub, A[:, idx])
@@ -525,7 +529,7 @@ class TestBlockPlans:
         operators = [loss.A if rows.size == loss.q else np.ascontiguousarray(loss.A[:, rows])
                      for _, _, rows in expected]
         L = max(max(loss.operator_norm_sq(M) for M in operators) * 1.01, 1e-12)
-        for plan in (problem.block_plans[0], loss.block_plan(block)):
+        for plan in (problem.block_plans()[0], loss.block_plan(block)):
             assert len(plan.groups) == len(expected)
             for (col, pos, A_sub), (ref_col, ref_pos, rows), M in zip(
                     plan.groups, expected, operators):
@@ -538,10 +542,43 @@ class TestBlockPlans:
                     np.testing.assert_array_equal(A_sub, M)
             assert plan.lipschitz == L
 
-    def test_plans_are_built_once_per_problem(self):
+    SOLVERS = [solve, pire_ps_solve, pire_au_solve]
+
+    def test_bounds_are_estimated_once_per_problem(self, monkeypatch):
         problem, _ = build_problem(desk_spec("log_ls", seed=0, m=3))
-        assert problem.block_plans is problem.block_plans
-        assert len(problem.block_plans) == 3
+        calls = []
+        real = model.spectral_norm_sq
+
+        def counted(M):
+            calls.append(M.shape)
+            return real(M)
+
+        monkeypatch.setattr(model, "spectral_norm_sq", counted)
+        config = SolverConfig(max_iter=5)
+        x0 = np.zeros(problem.loss.dim)
+        state = init_state(problem, config, x0)
+        for run in self.SOLVERS:
+            run(problem, config, x0)
+        assert len(calls) == problem.partition.m == 3
+        assert state.last_block_L.tolist() == list(problem.lipschitz)
+
+    @pytest.mark.parametrize("run", SOLVERS)
+    def test_solve_frees_its_block_operators(self, monkeypatch, run):
+        # desk log_ls blocks (m=3) are copies of A's columns, not views
+        problem, _ = build_problem(desk_spec("log_ls", seed=0, m=3))
+        plan_cls = type(problem.loss.block_plan([0]))
+        real = plan_cls.grad_from_residual
+        used = {}
+
+        def recording(plan, r):
+            used.setdefault(id(plan.A_sub), weakref.ref(plan.A_sub))
+            return real(plan, r)
+
+        monkeypatch.setattr(plan_cls, "grad_from_residual", recording)
+        run(problem, SolverConfig(max_iter=5), np.zeros(problem.loss.dim))
+        assert len(used) == 3
+        assert all(ref() is None for ref in used.values())
+        assert problem.lipschitz  # the problem is alive and keeps its bounds
 
     @pytest.mark.parametrize("run", [solve, pire_au_solve])
     def test_solve_does_not_keep_the_problem_alive(self, run):

@@ -205,7 +205,8 @@ class TestCommit:
             step = functools.partial(baselines._simultaneous_step, alpha=0.1,
                                      grad_of=prob.loss.grad_from_residual, use_momentum=False)
         else:
-            step = functools.partial(baselines._sequential_step, alphas=[0.1, 0.1])
+            step = functools.partial(baselines._sequential_step, plans=prob.block_plans(),
+                                     alphas=[0.1, 0.1])
         return baselines, "block -1", step, prob, config, solver._start_state(prob, config, x0)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -258,7 +259,8 @@ def _reference_init(problem, config, x0):
         x=x0.copy(),
         prev=[x0[b].copy() for b in problem.partition.blocks],
         counts=np.zeros(problem.partition.m, dtype=np.int64),
-        last_L=np.array([plan.lipschitz for plan in problem.block_plans]),
+        plans=problem.block_plans(),
+        last_L=np.array(problem.lipschitz),
         F=f + pen,
         eps=eps,
         t=1.0,
@@ -289,7 +291,7 @@ def _reference_step(ref, problem, config):
     k = ref.k + 1
     b = choose_block(config.schedule, k, problem.partition.m, config.seed)
     idx = problem.partition.blocks[b]
-    plan = problem.block_plans[b]
+    plan = ref.plans[b]
     L_curr = plan.lipschitz
     alpha = 1.0 / (config.gamma * L_curr)
     beta = 0.0
@@ -423,7 +425,7 @@ class TestStepMatchesReference:
     def test_matrix_blocks_split_inside_a_column(self):
         # the shuffled matrix partition reaches the index-array position path
         problem = _matrix_problem("shuffled")
-        positions = [pos for plan in problem.block_plans for _, pos, _ in plan.groups]
+        positions = [pos for plan in problem.block_plans() for _, pos, _ in plan.groups]
         assert any(not np.array_equal(p, np.arange(p[0], p[0] + p.size)) for p in positions)
 
 
