@@ -128,6 +128,10 @@ class ExperimentSpec:
         for name in ("n", "q", "t", "m"):
             if getattr(self, name) < 1:
                 raise ValueError(f"field {name!r} must be a positive integer")
+        if self.example == "log_ls" and self.t != 1:
+            raise ValueError(f"t must be 1 for example 'log_ls', got {self.t}")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         coordinates = self.q * self.t if self.example == "matrix_lp" else self.q
         if self.m > coordinates:
             raise ValueError(f"m must not exceed the {coordinates} coordinates, got {self.m}")

@@ -207,13 +207,6 @@ def _as_index(idx: np.ndarray):
     return idx
 
 
-def _columns(A: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """C-contiguous ``A[:, cols]``.  A run of columns is taken as a basic
-    slice, not copied when contiguous already (all of a C-ordered ``A``);
-    other blocks are copied, since a strided view is slower per matvec."""
-    return np.ascontiguousarray(A[:, _as_index(cols)])
-
-
 def _check_finite(name: str, M: np.ndarray) -> None:
     if not np.isfinite(M).all():
         raise ValueError(f"{name} has non-finite entries")
@@ -229,18 +222,29 @@ def _lipschitz_bound(norm_sq: float) -> float:
     return L
 
 
-class _VectorBlockPlan:
-    """Cached column submatrix and Lipschitz bound of a least-squares block."""
+class _BlockPlan:
+    """The operator of a least-squares block.  ``groups`` holds, for each
+    residual column the block touches (a vector loss has one), the column,
+    the block's positions in it in block order and the C-contiguous
+    ``A[:, rows]`` acting on them; ``column(col)`` indexes that column."""
 
-    def __init__(self, A_sub: np.ndarray, lipschitz: float):
-        self.A_sub = A_sub
-        self.lipschitz = lipschitz
+    def __init__(self, groups, column):
+        self.groups = groups
+        # each group's residual index, and its positions as a slice where they can be
+        self._parts = [(column(col), _as_index(pos), A_sub) for col, pos, A_sub in groups]
+        self._size = sum(pos.size for _, pos, _ in groups)
 
     def grad_from_residual(self, r):
-        return self.A_sub.T @ r
+        out = np.empty(self._size)
+        for at, pos, A_sub in self._parts:
+            out[pos] = A_sub.T @ r[at]
+        return out
 
     def residual_after_delta(self, r, delta):
-        return r + self.A_sub @ delta
+        r = r.copy()
+        for at, pos, A_sub in self._parts:
+            r[at] += A_sub @ delta[pos]
+        return r
 
 
 class _LinearLoss:
@@ -267,7 +271,29 @@ class _LinearLoss:
         the squared spectral norm of the block operator (power iteration to a
         relative change of ``POWER_ITER_TOL``, at most ``POWER_ITER_MAX``
         iterations) times ``LIPSCHITZ_SAFETY``, floored at 1e-12."""
-        return self.block_plan(idx).lipschitz
+        return self._lipschitz(_check_block_indices(idx, self.dim))
+
+    def _lipschitz(self, idx) -> float:
+        # the operator is block diagonal across groups: its largest group norm
+        norm_sq = max(self.operator_norm_sq(A_sub) for _, _, A_sub in self._plan(idx).groups)
+        return _lipschitz_bound(norm_sq)
+
+    def _plan(self, idx) -> _BlockPlan:
+        # flat index j*q + i is row i of residual column j; one stable sort
+        # groups the block by column and keeps each group in block order
+        q = self.A.shape[1]
+        cols = idx // q
+        order = np.argsort(cols, kind="stable")
+        cuts = [0, *(np.flatnonzero(np.diff(cols[order])) + 1).tolist(), idx.size]
+        groups = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            pos = order[lo:hi]
+            col = int(cols[pos[0]])
+            # rows 0..q-1 in order slice all of a C-ordered A, a view; other
+            # rows are copied, as a strided view is slower per matvec
+            rows = _as_index(idx[pos] - col * q)
+            groups.append((col, pos, np.ascontiguousarray(self.A[:, rows])))
+        return _BlockPlan(groups, self._column)
 
     def _check_x(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64).ravel()
@@ -326,40 +352,7 @@ class LeastSquares(_LinearLoss):
         idx = _check_block_indices(idx, self.dim)
         return self.A[:, idx].T @ self.residual(x)
 
-    def _plan(self, idx, lipschitz=None) -> _VectorBlockPlan:
-        A_sub = _columns(self.A, idx)
-        if lipschitz is None:
-            lipschitz = _lipschitz_bound(self.operator_norm_sq(A_sub))
-        return _VectorBlockPlan(A_sub, lipschitz)
-
-
-class _MatrixBlockPlan:
-    """Per-column submatrices of a flattened matrix least-squares block.
-
-    A block of flattened (column-major) indices touches one or more matrix
-    columns; each group acts through ``A[:, rows]`` on a single residual
-    column, so the block Hessian is block diagonal across groups.
-    """
-
-    def __init__(self, groups, lipschitz: float):
-        # groups: list of (matrix column, positions inside the block, A[:, rows])
-        self.groups = groups
-        self.lipschitz = lipschitz
-        # the same groups with each position array as a slice where it can be
-        self._parts = [(col, _as_index(pos), A_sub) for col, pos, A_sub in groups]
-        self._size = sum(pos.size for _, pos, _ in groups)
-
-    def grad_from_residual(self, r):
-        out = np.empty(self._size)
-        for col, pos, A_sub in self._parts:
-            out[pos] = A_sub.T @ r[:, col]
-        return out
-
-    def residual_after_delta(self, r, delta):
-        r = r.copy()
-        for col, pos, A_sub in self._parts:
-            r[:, col] += A_sub @ delta[pos]
-        return r
+    _column = staticmethod(lambda col: ...)  # the residual is its one column
 
 
 class MatrixLeastSquares(_LinearLoss):
@@ -405,23 +398,7 @@ class MatrixLeastSquares(_LinearLoss):
     def block_grad(self, x, idx) -> np.ndarray:
         return self.block_plan(idx).grad_from_residual(self.residual(x))
 
-    def _plan(self, idx, lipschitz=None) -> _MatrixBlockPlan:
-        # ascending flat indices run by column, then by row: one sort groups
-        # the block, and a full-column group (rows 0..q-1) shares A itself
-        order = np.argsort(idx)
-        flat = idx[order]
-        cols = flat // self.q
-        bounds = [0, *(np.flatnonzero(cols[1:] != cols[:-1]) + 1).tolist(), idx.size]
-        groups = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            col = int(cols[lo])
-            rows = flat[lo:hi] - col * self.q
-            A_sub = self.A if rows.size == self.q else _columns(self.A, rows)
-            groups.append((col, order[lo:hi], A_sub))
-        if lipschitz is None:
-            norm_sq = max(self.operator_norm_sq(A_sub) for _, _, A_sub in groups)
-            lipschitz = _lipschitz_bound(norm_sq)
-        return _MatrixBlockPlan(groups, lipschitz)
+    _column = staticmethod(lambda col: (slice(None), col))
 
 
 def _check_block_indices(idx, dim: int) -> np.ndarray:
@@ -614,9 +591,10 @@ class Problem:
 
     Safe to share across concurrent solver runs; all solver operations
     treat it as read-only.  The problem keeps only the blocks' Lipschitz
-    bounds (:attr:`lipschitz`, estimated on first use).  Each solve builds
-    its own block operators with :meth:`block_plans` and frees them when
-    it returns, so a problem never pins copies of ``A``'s columns.
+    bounds (:attr:`lipschitz`, estimated on first use), and is their only
+    home.  Each solve builds its own block operators with
+    :meth:`block_plans`, which carry no bound, and frees them when it
+    returns, so a problem never pins copies of ``A``'s columns.
     """
 
     loss: object
@@ -641,12 +619,12 @@ class Problem:
     def lipschitz(self) -> tuple:
         """Each block's Lipschitz bound, in partition order, estimated once
         per problem; each block's operator is built for it and dropped."""
-        return tuple(self.loss._plan(b).lipschitz for b in self.partition.blocks)
+        return tuple(map(self.loss._lipschitz, self.partition.blocks))
 
     def block_plans(self) -> tuple:
-        """Fresh block plans (operators) with the cached bounds, from the
-        partition :meth:`__post_init__` validated; the caller owns them."""
-        return tuple(map(self.loss._plan, self.partition.blocks, self.lipschitz))
+        """Fresh block plans (operators, without bounds), from the partition
+        :meth:`__post_init__` validated; the caller owns them."""
+        return tuple(map(self.loss._plan, self.partition.blocks))
 
 
 def eval_objective(loss, penalty, x, eps=None) -> float:

@@ -189,9 +189,10 @@ class SolverState:
 
     ``x_prev`` is the extrapolation anchor: each coordinate's value before
     its last move; only :func:`_commit` writes it and ``x``, in place.
-    ``t`` is the FISTA value of the restarted momentum sequence and
-    ``last_block_L`` holds the blocks' fixed curvature constants
-    (``problem.lipschitz``); ``plans`` are this solve's own block operators
+    ``t`` is the FISTA value of the restarted momentum sequence.
+    ``last_block_L`` is a copy of ``problem.lipschitz``, the blocks' fixed
+    curvature constants, that only the benchmark reads; the steps read
+    ``problem.lipschitz``.  ``plans`` are this solve's own block operators
     (``problem.block_plans()``), freed with the state.  ``eps``
     is present only for the smoothed-lp penalty.  On smoothed-lp problems
     the block solver also sets ``sign_run_start``, the iteration at which
@@ -391,7 +392,7 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> _
     idx = partition.index[b]
     plan = state.plans[b]
 
-    L_curr = plan.lipschitz
+    L_curr = problem.lipschitz[b]
     alpha = 1.0 / (config.gamma * L_curr)
 
     # Every momentum value lies in [0, 1): the FISTA value is

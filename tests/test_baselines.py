@@ -293,7 +293,7 @@ def _reference_baseline(algo, problem, config, x0):
         x_prev = x.copy()
     else:
         plans = problem.block_plans()
-        alphas = [1.0 / plan.lipschitz for plan in plans]
+        alphas = [1.0 / L for L in problem.lipschitz]
     rows = []
     for k in range(1, config.max_iter + 1):
         x_start = x.copy()

@@ -19,10 +19,10 @@ from bpiree.solver import SolverConfig
 # Spec fields a desk config must not take: a wrong type (a bool sparsity
 # too), a penalty parameter out of range, an eps_bar whose largest weight
 # overflows, m beyond the coordinates, the ill-conditioned shape with n > q,
-# a negative seed, a negative or zero sparsity (an int 0 would plant no
-# signal), an eps0 below the smoothing floor, a noise scale that overflows
-# the data of any example, or only the loss at 0 of each; and --set items
-# without "=" or that descend into a non-object.
+# a negative seed, a t other than 1 for log_ls, a negative or zero sparsity
+# (an int 0 would plant no signal), an eps0 below the smoothing floor, a
+# noise scale that overflows the data of any example, or only the loss at 0
+# of each; and --set items without "=" or that descend into a non-object.
 BAD_SPEC_SETS = [
     ("log_ls", ["seed"]),
     ("log_ls", ["seed=1", "seed.x=1"]),
@@ -35,6 +35,7 @@ BAD_SPEC_SETS = [
     ("log_ls", ["sparsity=true"]),
     ("log_ls", ["sparsity=-3"]),
     ("log_ls", ["seed=-1"]),
+    ("log_ls", ["t=3"]),
     ("matrix_lp", ["p=1.5"]),
     ("log_ls", ["eps_bar=1e-320"]),
     ("matrix_lp", ["solver.eps0=1e-200"]),

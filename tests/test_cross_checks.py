@@ -308,13 +308,16 @@ class TestLogLsScaleInvariance:
 
 class TestColumnPermutation:
     """Permuting the columns of ``A`` together with the partition (each
-    block keeps its columns, in the same order, now found through an index
-    array) permutes the solution.  Block steps only touch their own columns
-    and the residual, so their iterates match bit for bit; pire-ps and
-    irl1e1 recompute the full residual ``A x - b``, whose sum order the
-    permutation changes, so theirs match to rounding."""
+    block keeps its coordinates, in the same order, now found through an
+    index array) permutes the solution.  For the matrix loss the variable's
+    rows follow ``A``'s columns: flat index ``j*q + r`` moves to
+    ``j*q + inv[r]``.  Block steps only touch their own columns and the
+    residual, so their iterates match bit for bit; pire-ps and irl1e1
+    recompute the full residual ``A x - b``, whose sum order the permutation
+    changes, so theirs match to rounding."""
 
-    CASES = [(seed, m) for seed in (0, 13, 17) for m in (1, 4)]
+    CASES = [("log_ls", seed, m) for seed in (0, 13, 17) for m in (1, 4)]
+    MATRIX_CASES = [("matrix_lp", seed, m) for seed in (0, 13) for m in (3, 5, 7)]
     EXACT = [
         ("bpiree", SolverConfig(momentum="fista")),
         ("bpiree", SolverConfig(momentum="fista", schedule="shuffled", seed=3)),
@@ -324,18 +327,25 @@ class TestColumnPermutation:
     ROUNDED = [("pire-ps", SolverConfig()), ("irl1e1", SolverConfig())]
 
     @staticmethod
-    def _pair(seed, m):
-        prob, _ = build_problem(desk_spec("log_ls", seed=seed, m=m))
-        perm = np.random.default_rng(100 + seed).permutation(prob.loss.dim)
+    def _pair(example, seed, m):
+        prob, _ = build_problem(desk_spec(example, seed=seed, m=m))
+        loss = prob.loss
+        q = loss.A.shape[1]
+        perm = np.random.default_rng(100 + seed).permutation(q)
         inv = np.argsort(perm)
+        coords = np.arange(loss.dim)
+        moved = coords - coords % q + inv[coords % q]
+        if example == "log_ls":
+            permuted_loss = LeastSquares(loss.A[:, perm], loss.b)
+        else:
+            permuted_loss = MatrixLeastSquares(loss.A[:, perm], loss.B)
         permuted = Problem(
-            LeastSquares(prob.loss.A[:, perm], prob.loss.b),
+            permuted_loss,
             prob.penalty,
-            BlockPartition(blocks=tuple(inv[b] for b in prob.partition.blocks),
-                           n=prob.loss.dim),
+            BlockPartition(blocks=tuple(moved[b] for b in prob.partition.blocks), n=loss.dim),
         )
         assert not any(isinstance(i, slice) for i in permuted.partition.index)
-        return prob, permuted, inv
+        return prob, permuted, moved
 
     @staticmethod
     def _runs(algo, config, prob, permuted):
@@ -345,18 +355,18 @@ class TestColumnPermutation:
     @pytest.mark.parametrize("algo,config", EXACT,
                              ids=["fista", "fista-shuffled", "fista_capped", "pire-au"])
     def test_block_steps_permute_bitwise(self, algo, config):
-        for seed, m in self.CASES:
-            prob, permuted, inv = self._pair(seed, m)
+        for example, seed, m in self.CASES + self.MATRIX_CASES:
+            prob, permuted, moved = self._pair(example, seed, m)
             (x, trace, status), (x_p, trace_p, status_p) = self._runs(
                 algo, config, prob, permuted
             )
-            assert (trace_p.iterations, status_p) == (trace.iterations, status), (seed, m)
-            np.testing.assert_array_equal(x_p[inv], x, err_msg=f"seed {seed}, m {m}")
+            assert (trace_p.iterations, status_p) == (trace.iterations, status), (example, seed, m)
+            np.testing.assert_array_equal(x_p[moved], x, err_msg=f"{example}, seed {seed}, m {m}")
 
     @pytest.mark.parametrize("algo,config", ROUNDED, ids=["pire-ps", "irl1e1"])
     def test_full_residual_steps_permute_to_rounding(self, algo, config):
-        for seed, m in self.CASES:
-            prob, permuted, inv = self._pair(seed, m)
+        for example, seed, m in self.CASES:
+            prob, permuted, inv = self._pair(example, seed, m)
             (x, trace, status), (x_p, trace_p, status_p) = self._runs(
                 algo, config, prob, permuted
             )

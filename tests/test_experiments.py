@@ -154,7 +154,8 @@ class TestSpecValidation:
          "sparsity must be a positive count or a fraction in (0, 1)"),
         ("log_ls", dict(sparsity=2.5),
          "sparsity must be a positive count or a fraction in (0, 1)"),
-        ("log_ls", dict(seed=-1), "solver 'bpiree': seed must be nonnegative"),
+        ("log_ls", dict(seed=-1), "seed must be nonnegative"),
+        ("log_ls", dict(t=3), "t must be 1 for example 'log_ls', got 3"),
         ("log_ls", dict(n=0), "field 'n' must be a positive integer"),
         ("matrix_lp", dict(p=1.5), "p must lie in (0, 1)"),
         ("matrix_lp", dict(lam=-1.0), "lam must be finite and nonnegative"),

@@ -485,8 +485,11 @@ class TestBlockPlans:
         loss = LeastSquares(A, np.zeros(5))
         problem = Problem(loss, LogPenalty(lam=1.0, eps_bar=1.0), BlockPartition.contiguous(8, 1))
         (plan,) = problem.block_plans()
-        assert np.shares_memory(plan.A_sub, loss.A)
-        assert plan.lipschitz == max(model.spectral_norm_sq(A) * 1.01, 1e-12)
+        ((col, pos, A_sub),) = plan.groups
+        assert col == 0
+        np.testing.assert_array_equal(pos, np.arange(8))
+        assert np.shares_memory(A_sub, loss.A)
+        assert problem.lipschitz == (max(model.spectral_norm_sq(A) * 1.01, 1e-12),)
 
     def test_multi_block_plans_are_contiguous_copies(self):
         A = np.random.default_rng(1).standard_normal((5, 8))
@@ -494,20 +497,22 @@ class TestBlockPlans:
         partition = BlockPartition(blocks=([0, 1, 2], [5, 3], [4, 6, 7]), n=8)
         problem = Problem(loss, LogPenalty(lam=1.0, eps_bar=1.0), partition)
         for idx, plan in zip(partition.blocks, problem.block_plans()):
-            assert plan.A_sub.flags.c_contiguous
-            assert not np.shares_memory(plan.A_sub, loss.A)
-            np.testing.assert_array_equal(plan.A_sub, A[:, idx])
+            ((col, pos, A_sub),) = plan.groups
+            assert col == 0
+            np.testing.assert_array_equal(pos, np.arange(idx.size))
+            assert A_sub.flags.c_contiguous
+            assert not np.shares_memory(A_sub, loss.A)
+            np.testing.assert_array_equal(A_sub, A[:, idx])
 
     @staticmethod
     def _reference_groups(loss, idx):
-        """Per matrix column: the column, the block positions in it ordered
-        by row, and those rows; the grouping of one ``np.unique`` over the
+        """Per matrix column: the column, the block positions in it in block
+        order, and those rows; the grouping of one ``np.unique`` over the
         columns and one scan of the block per column."""
         cols, rows = idx // loss.q, idx % loss.q
         groups = []
         for col in np.unique(cols):
             pos = np.flatnonzero(cols == col)
-            pos = pos[np.argsort(rows[pos])]
             groups.append((int(col), pos, rows[pos]))
         return groups
 
@@ -519,28 +524,28 @@ class TestBlockPlans:
         np.arange(12),  # every coordinate
         np.random.default_rng(6).permutation(12),  # every coordinate, shuffled
     ], ids=["contiguous", "shuffled", "column-splitting", "single", "all", "all-shuffled"])
-    def test_matrix_plan_groups_by_column_then_row(self, block):
+    def test_matrix_plan_groups_by_column_in_block_order(self, block):
         rng = np.random.default_rng(7)
         loss = MatrixLeastSquares(rng.standard_normal((5, 4)), rng.standard_normal((5, 3)))
         rest = np.setdiff1d(np.arange(loss.dim), block)
         partition = BlockPartition(blocks=(block, rest) if rest.size else (block,), n=loss.dim)
         problem = Problem(loss, LogPenalty(lam=1.0, eps_bar=1.0), partition)
         expected = self._reference_groups(loss, block)
-        operators = [loss.A if rows.size == loss.q else np.ascontiguousarray(loss.A[:, rows])
-                     for _, _, rows in expected]
+        in_order = [np.array_equal(rows, np.arange(loss.q)) for _, _, rows in expected]
+        operators = [loss.A if whole else np.ascontiguousarray(loss.A[:, rows])
+                     for (_, _, rows), whole in zip(expected, in_order)]
         L = max(max(loss.operator_norm_sq(M) for M in operators) * 1.01, 1e-12)
         for plan in (problem.block_plans()[0], loss.block_plan(block)):
             assert len(plan.groups) == len(expected)
-            for (col, pos, A_sub), (ref_col, ref_pos, rows), M in zip(
-                    plan.groups, expected, operators):
+            for (col, pos, A_sub), (ref_col, ref_pos, rows), M, whole in zip(
+                    plan.groups, expected, operators, in_order):
                 assert col == ref_col
                 np.testing.assert_array_equal(pos, ref_pos)
-                if rows.size == loss.q:
-                    assert A_sub is loss.A
-                else:
-                    assert A_sub.flags.c_contiguous
-                    np.testing.assert_array_equal(A_sub, M)
-            assert plan.lipschitz == L
+                assert A_sub.flags.c_contiguous
+                assert np.shares_memory(A_sub, loss.A) == whole
+                np.testing.assert_array_equal(A_sub, M)
+        assert problem.lipschitz[0] == L
+        assert loss.block_lipschitz(block) == L
 
     SOLVERS = [solve, pire_ps_solve, pire_au_solve]
 
@@ -571,7 +576,8 @@ class TestBlockPlans:
         used = {}
 
         def recording(plan, r):
-            used.setdefault(id(plan.A_sub), weakref.ref(plan.A_sub))
+            for _col, _pos, A_sub in plan.groups:
+                used.setdefault(id(A_sub), weakref.ref(A_sub))
             return real(plan, r)
 
         monkeypatch.setattr(plan_cls, "grad_from_residual", recording)

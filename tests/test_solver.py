@@ -292,7 +292,7 @@ def _reference_step(ref, problem, config):
     b = choose_block(config.schedule, k, problem.partition.m, config.seed)
     idx = problem.partition.blocks[b]
     plan = ref.plans[b]
-    L_curr = plan.lipschitz
+    L_curr = problem.lipschitz[b]
     alpha = 1.0 / (config.gamma * L_curr)
     beta = 0.0
     if config.momentum in ("fista", "fista_capped"):
