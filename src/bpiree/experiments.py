@@ -233,11 +233,7 @@ def gen_matrix_problem(spec: ExperimentSpec):
     rng = np.random.default_rng(spec.seed)
     A = rng.standard_normal((spec.n, spec.q))
     A /= np.linalg.norm(A, axis=0)
-    nnz = spec.nnz()
-    X_true = np.zeros((spec.q, spec.t))
-    for j in range(spec.t):
-        support = rng.choice(spec.q, size=nnz, replace=False)
-        X_true[support, j] = rng.standard_normal(nnz)
+    X_true = np.column_stack([_plant_sparse(rng, spec.q, spec.nnz()) for _ in range(spec.t)])
     B = A @ X_true + spec.noise_scale * rng.standard_normal((spec.n, spec.t))
     partition = BlockPartition.contiguous(spec.q * spec.t, spec.m)
     return A, B, X_true, partition

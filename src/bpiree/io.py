@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import os
 import tempfile
 from typing import Optional
@@ -140,7 +141,9 @@ def _floats(value, name: str) -> np.ndarray:
 
 def load_problem(path: str):
     """Read a problem instance; returns ``(Problem, x_true_or_None)``.  A
-    malformed one (a missing, unknown or ill-typed field) raises
+    malformed one (a missing, unknown or ill-typed field, an ``A`` blob of
+    other than ``A_shape``'s size, a ``b`` that does not split into ``t``
+    columns, an ``x_true`` of other than the variable's length) raises
     ``KeyError`` or ``ValueError`` naming the field."""
     with open(path) as f:
         doc = json.load(f)
@@ -155,14 +158,19 @@ def load_problem(path: str):
         if not (isinstance(shape, list) and len(shape) == 2
                 and all(type(d) is int and d >= 0 for d in shape)):
             raise ValueError(f"A_shape must be two nonnegative integers, got {shape!r}")
-        blob_path = os.path.join(os.path.dirname(os.path.abspath(path)), A)
-        A = np.fromfile(blob_path, dtype="<f8").reshape(shape)
+        blob = np.fromfile(os.path.join(os.path.dirname(os.path.abspath(path)), A), dtype="<f8")
+        if blob.size != math.prod(shape):
+            raise ValueError(f"A_shape {shape} needs {math.prod(shape)} numbers, "
+                             f"but {A} holds {blob.size}")
+        A = blob.reshape(shape)
     else:
         A = _floats(A, "A")
     b = _floats(doc["b"], "b")
     t, blocks = doc.get("t", 1), doc["blocks"]
     if type(t) is not int or t < 1:  # a bool is no column count
         raise ValueError(f"t must be a positive integer, got {t!r}")
+    if b.size % t:
+        raise ValueError(f"b has {b.size} entries, which do not split into t={t} columns")
     if not isinstance(blocks, list) or not all(
             isinstance(blk, list) and all(type(i) is int for i in blk) for blk in blocks):
         raise ValueError("blocks must be lists of integer indices")
@@ -172,6 +180,8 @@ def load_problem(path: str):
     x_true = doc.get("x_true")
     if x_true is not None:
         x_true = _floats(x_true, "x_true")
+        if x_true.shape != (loss.dim,):  # one entry would broadcast against x
+            raise ValueError(f"x_true must have length {loss.dim}, got shape {x_true.shape}")
     return problem, x_true
 
 

@@ -295,6 +295,23 @@ class _LinearLoss:
             groups.append((col, pos, np.ascontiguousarray(self.A[:, rows])))
         return _BlockPlan(groups, self._column)
 
+    def _checked_A(self, A, target: np.ndarray, name: str) -> np.ndarray:
+        """``A`` as float64, checked: a 2-d matrix with the rows of ``target``
+        (float64, named ``name``), both finite, and a finite loss at 0, where
+        every solve starts."""
+        A = np.asarray(A, dtype=np.float64)
+        if A.ndim != 2:
+            raise ValueError("A must be a 2-d matrix")
+        if target.shape[0] != A.shape[0]:
+            raise ValueError(f"{name} has {target.shape[0]} rows but A has {A.shape[0]}")
+        _check_finite("A", A)
+        _check_finite(name, target)
+        with np.errstate(over="ignore"):
+            if not math.isfinite(self.value_from_residual(target)):
+                norm = f"||{name}||_F" if target.ndim == 2 else f"||{name}||"
+                raise ValueError(f"{name} is too large: 0.5*{norm}^2 overflows")
+        return A
+
     def _check_x(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64).ravel()
         if x.shape[0] != self.dim:
@@ -307,6 +324,11 @@ class _LinearLoss:
     def grad(self, x) -> np.ndarray:
         return self.grad_from_residual(self.residual(x))
 
+    def block_grad(self, x, idx) -> np.ndarray:
+        """Entries ``idx`` of the full gradient: no block operator computes it."""
+        idx = _check_block_indices(idx, self.dim)
+        return self.grad(x)[idx]
+
 
 class LeastSquares(_LinearLoss):
     """Smooth loss ``f(x) = 0.5 * ||A x - b||^2``.
@@ -318,21 +340,8 @@ class LeastSquares(_LinearLoss):
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray):
-        A = np.asarray(A, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64).ravel()
-        if A.ndim != 2:
-            raise ValueError("A must be a 2-d matrix")
-        if b.shape[0] != A.shape[0]:
-            raise ValueError(
-                f"b has length {b.shape[0]}, expected {A.shape[0]} rows of A"
-            )
-        _check_finite("A", A)
-        _check_finite("b", b)
-        with np.errstate(over="ignore"):  # the loss at 0, where every solve starts
-            if not math.isfinite(self.value_from_residual(b)):
-                raise ValueError("b is too large: 0.5*||b||^2 overflows")
-        self.A = A
-        self.b = b
+        self.b = np.asarray(b, dtype=np.float64).ravel()
+        self.A = self._checked_A(A, self.b, "b")
 
     @property
     def dim(self) -> int:
@@ -348,10 +357,6 @@ class LeastSquares(_LinearLoss):
     def grad_from_residual(self, r) -> np.ndarray:
         return self.A.T @ r
 
-    def block_grad(self, x, idx) -> np.ndarray:
-        idx = _check_block_indices(idx, self.dim)
-        return self.A[:, idx].T @ self.residual(x)
-
     _column = staticmethod(lambda col: ...)  # the residual is its one column
 
 
@@ -364,23 +369,12 @@ class MatrixLeastSquares(_LinearLoss):
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray):
-        A = np.asarray(A, dtype=np.float64)
-        B = np.asarray(B, dtype=np.float64)
-        if A.ndim != 2 or B.ndim != 2:
-            raise ValueError("A and B must be 2-d matrices")
-        if A.shape[0] != B.shape[0]:
-            raise ValueError(
-                f"A has {A.shape[0]} rows but B has {B.shape[0]} rows"
-            )
-        _check_finite("A", A)
-        _check_finite("B", B)
-        with np.errstate(over="ignore"):  # the loss at 0, where every solve starts
-            if not math.isfinite(self.value_from_residual(B)):
-                raise ValueError("B is too large: 0.5*||B||_F^2 overflows")
-        self.A = A
-        self.B = B
-        self.q = A.shape[1]
-        self.t = B.shape[1]
+        self.B = np.asarray(B, dtype=np.float64)
+        if self.B.ndim != 2:
+            raise ValueError("B must be a 2-d matrix")
+        self.A = self._checked_A(A, self.B, "B")
+        self.q = self.A.shape[1]
+        self.t = self.B.shape[1]
 
     @property
     def dim(self) -> int:
@@ -394,9 +388,6 @@ class MatrixLeastSquares(_LinearLoss):
 
     def grad_from_residual(self, r) -> np.ndarray:
         return (self.A.T @ r).ravel(order="F")
-
-    def block_grad(self, x, idx) -> np.ndarray:
-        return self.block_plan(idx).grad_from_residual(self.residual(x))
 
     _column = staticmethod(lambda col: (slice(None), col))
 
@@ -636,8 +627,6 @@ def eval_objective(loss, penalty, x, eps=None) -> float:
     x = loss._check_x(x)
     if eps is not None and np.asarray(eps).ravel().shape[0] != x.shape[0]:
         raise ValueError("eps must have the same length as x")
-    if isinstance(penalty, SmoothedLp) and eps is None:
-        raise ValueError("SmoothedLp penalty requires smoothing factors")
     if not isinstance(penalty, SmoothedLp) and eps is not None:
         raise ValueError("smoothing factors only apply to the SmoothedLp penalty")
     return loss.value(x) + penalty.value(x, eps)

@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per exit criterion, one printed line each.
+"""Acceptance suite: one test per exit criterion (monotonicity has two:
+with the safeguard, and as the paper states it), one printed line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 pass/fail lines.  Everything runs at desk scale (Example-1 style: n=100,
@@ -173,6 +174,30 @@ def test_criterion_3_monotonicity(example1_runs, example2_runs):
                 if not b <= a + 1e-12 * (1.0 + abs(a)):
                     violations += 1
     report(3, violations == 0, f"{violations} violations over {iterations} iterations")
+
+
+def test_criterion_3_monotonicity_as_stated():
+    """The paper's claim itself: the admissible momentum bound, no
+    safeguard, gives nonincreasing F and a certificate at every step, on
+    desk log_ls (well and ill, m=1 and m=10) and matrix_lp, seeds 0 and 1.
+    A failure here is a solver finding, not a tolerance to tune."""
+    config = SolverConfig(momentum="bound", safeguard=False, check_descent=True,
+                          record_trace=True, max_iter=5000)
+    rises = bad = steps = 0
+    for seed in (0, 1):
+        specs = [desk_spec("log_ls", seed=seed, conditioning=c, m=m)
+                 for c in ("well", "ill") for m in (1, 10)]
+        for spec in [*specs, desk_spec("matrix_lp", seed=seed)]:
+            prob, _ = build_problem(spec)
+            run = solve_lp if spec.example == "matrix_lp" else solve
+            trace = run(prob, config, np.zeros(prob.loss.dim))[-2]
+            F = trace.columns["F"]
+            steps += len(F)
+            rises += sum(not b <= a + 1e-12 * (1.0 + abs(a)) for a, b in zip(F, F[1:]))
+            bad += sum(not c.holds for c in trace.certificates)
+            assert len(trace.certificates) == len(F)
+    report(3, rises == 0 and bad == 0,
+           f"{rises} rises and {bad} failed certificates over {steps} unguarded steps")
 
 
 def test_criterion_4_descent_certificate(example1_runs, example2_runs):

@@ -480,9 +480,16 @@ class TestMalformedInstance:
         # a misspelled x_true must not drop the planted signal silently
         (lambda doc: {("x_ture" if key == "x_true" else key): value
                       for key, value in doc.items()}, "unknown field 'x_ture'"),
+        # fields that do not fit together; one x_true entry would broadcast
+        (lambda doc: {**doc, "x_true": doc["x_true"][:5]},
+         "x_true must have length 40, got shape (5,)"),
+        (lambda doc: {**doc, "x_true": doc["x_true"][:1]},
+         "x_true must have length 40, got shape (1,)"),
+        (lambda doc: {**doc, "t": 3}, "b has 20 entries, which do not split into t=3 columns"),
     ], ids=["penalty-not-object", "document-list", "A-object", "A-bool", "b-bool",
             "x_true-bool", "b-int-overflow", "b-loss-overflow", "A_shape-not-list",
-            "extra-penalty-key", "eps_bar-overflows", "misspelled-x_true"])
+            "extra-penalty-key", "eps_bar-overflows", "misspelled-x_true", "x_true-short",
+            "x_true-one-entry", "b-not-t-columns"])
     def test_exits_two_without_trace(self, tmp_path, capsys, edit, message):
         inst = tmp_path / "inst.json"
         assert main(["generate", "--config", write_config(tmp_path), "--out", str(inst)]) == 0
@@ -494,6 +501,16 @@ class TestMalformedInstance:
         assert captured.err == f"malformed instance: {message}\n"
         assert captured.out == ""
         assert not trace.exists()
+
+    def test_blob_must_match_A_shape(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        cfg = write_config(tmp_path, blob=True)
+        assert main(["generate", "--config", cfg, "--out", str(inst)]) == 0
+        inst.write_text(json.dumps({**json.loads(inst.read_text()), "A_shape": [20, 39]}))
+        capsys.readouterr()
+        assert main(["solve", str(inst), "--algo", "bpiree"]) == 2
+        assert capsys.readouterr().err == ("malformed instance: A_shape [20, 39] needs 780 "
+                                           "numbers, but inst.json.A.bin holds 800\n")
 
 
 class TestFinalEps:

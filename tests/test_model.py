@@ -268,16 +268,15 @@ class TestBlockLipschitz:
 
 
 class TestBlockPlanChecks:
-    """The public ``block_plan`` checks its block (``Problem`` builds its
-    plans from the partition it validated, unchecked)."""
+    """The public ``block_plan`` and ``block_grad`` check their block
+    (``Problem`` builds its plans from the partition it validated,
+    unchecked)."""
 
     LOSSES = {
         "vector": lambda: LeastSquares(np.eye(3), np.zeros(3)),
         "matrix": lambda: MatrixLeastSquares(np.eye(3), np.zeros((3, 2))),
     }
-
-    @pytest.mark.parametrize("kind", LOSSES)
-    @pytest.mark.parametrize("block,message", [
+    BAD_BLOCKS = pytest.mark.parametrize("block,message", [
         ([], "block is empty"),
         ([0, -1], "block indices must lie in 0..{last}"),
         ([0, "dim"], "block indices must lie in 0..{last}"),
@@ -286,11 +285,23 @@ class TestBlockPlanChecks:
         ([0.7, 1.9], "block indices must be integers, got float64"),
         ([True], "block indices must be integers, got bool"),
     ], ids=["empty", "negative", "past-the-end", "duplicate", "float", "bool"])
-    def test_bad_block_rejected(self, kind, block, message):
+
+    def _rejects(self, kind, block, message, call):
         loss = self.LOSSES[kind]()
         block = [loss.dim if i == "dim" else i for i in block]
         with pytest.raises(ValueError, match=f"^{message.format(last=loss.dim - 1)}$"):
-            loss.block_plan(block)
+            call(loss, block)
+
+    @pytest.mark.parametrize("kind", LOSSES)
+    @BAD_BLOCKS
+    def test_bad_block_rejected(self, kind, block, message):
+        self._rejects(kind, block, message, lambda loss, block: loss.block_plan(block))
+
+    @pytest.mark.parametrize("kind", LOSSES)
+    @BAD_BLOCKS
+    def test_block_grad_rejects_bad_block(self, kind, block, message):
+        self._rejects(kind, block, message,
+                      lambda loss, block: loss.block_grad(np.zeros(loss.dim), block))
 
 
 class TestOverflowingLipschitz:

@@ -377,6 +377,31 @@ def _matrix_problem(partition_kind):
     return Problem(MatrixLeastSquares(A, B), SmoothedLp(lam=0.05, p=0.5), partition)
 
 
+class TestBlockOperatorsMatchBlockGrad:
+    """Each block operator's gradient equals ``loss.block_grad``, the full
+    gradient's entries, which no block operator computes."""
+
+    PROBLEMS = {
+        # every shuffled matrix block takes part of several columns
+        "matrix-shuffled": lambda: _matrix_problem("shuffled"),
+        "vector-contiguous-m3": lambda: dataclasses.replace(
+            _vector_problem("single"), partition=BlockPartition.contiguous(60, 3)),
+    }
+
+    @pytest.mark.parametrize("kind", PROBLEMS)
+    def test_operator_gradients_match(self, kind):
+        problem = self.PROBLEMS[kind]()
+        loss = problem.loss
+        rng = np.random.default_rng(8)
+        for x in (np.zeros(loss.dim), *rng.standard_normal((3, loss.dim))):
+            r = loss.residual(x)
+            for block, plan in zip(problem.partition.blocks, problem.block_plans()):
+                if kind.startswith("matrix"):
+                    assert len(plan.groups) > 1
+                np.testing.assert_allclose(
+                    plan.grad_from_residual(r), loss.block_grad(x, block), rtol=1e-12)
+
+
 class TestStepMatchesReference:
     """Iterate, smoothing factors, residual and objective of every step are
     bitwise equal to the reference transcription."""
