@@ -100,7 +100,9 @@ def penalty_from_dict(d):
 
 
 def save_problem(path: str, problem: Problem, x_true=None, blob: bool = False) -> None:
-    """Write a problem instance; ``blob=True`` stores A as ``<path>.A.bin``."""
+    """Write a problem instance; ``blob=True`` stores A as ``<path>.A.bin``.
+    When the JSON cannot be written, both files stay as they were: the old
+    ones, or none."""
     loss = problem.loss
     if isinstance(loss, LeastSquares):
         A, b, t = loss.A, loss.b, 1
@@ -114,16 +116,47 @@ def save_problem(path: str, problem: Problem, x_true=None, blob: bool = False) -
         "blocks": [blk.tolist() for blk in problem.partition.blocks],
         "penalty": penalty_to_dict(problem.penalty),
     }
+    blob_path = path + ".A.bin"
     if blob:
-        blob_path = path + ".A.bin"
-        _atomic_write(blob_path, np.ascontiguousarray(A, dtype="<f8").tobytes(), "wb")
         doc["A"] = os.path.basename(blob_path)
         doc["A_shape"] = list(A.shape)
     else:
         doc["A"] = A.tolist()
     if x_true is not None:
         doc["x_true"] = np.asarray(x_true).ravel().tolist()
-    atomic_write_text(path, json.dumps(doc, sort_keys=True))
+    text = json.dumps(doc, sort_keys=True)
+    if not blob:
+        atomic_write_text(path, text)
+        return
+    # the JSON names the blob, so the blob is replaced first, with the old
+    # one set aside to go back if the JSON then cannot be written
+    old = _set_aside(blob_path)
+    try:
+        _atomic_write(blob_path, np.ascontiguousarray(A, dtype="<f8").tobytes(), "wb")
+        atomic_write_text(path, text)
+    except BaseException:
+        if old is not None:
+            os.replace(old, blob_path)
+        elif os.path.isfile(blob_path):
+            os.unlink(blob_path)
+        raise
+    if old is not None:
+        os.unlink(old)
+
+
+def _set_aside(path: str) -> Optional[str]:
+    """Move the file at ``path`` to a temporary name in its directory and
+    return that name; ``None`` when ``path`` is no file."""
+    if not os.path.isfile(path):
+        return None
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
+    os.close(fd)
+    try:
+        os.replace(path, tmp)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return tmp
 
 
 def _floats(value, name: str) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import logging
 import math
 import numbers
 import sys
@@ -46,6 +47,8 @@ __all__ = [
     "eval_objective",
     "spectral_norm_sq",
 ]
+
+logger = logging.getLogger("bpiree")
 
 # Floor applied to estimated block curvature constants so that stepsizes
 # 1/(gamma*L) stay finite for degenerate (all-zero) submatrices.
@@ -169,7 +172,9 @@ def spectral_norm_sq(M: np.ndarray) -> float:
     """Squared spectral norm of ``M`` by power iteration on ``M^T M``.
 
     Deterministic (fixed seeded start vector).  Converges from below, so
-    callers that need an upper bound should apply a safety factor.
+    callers that need an upper bound should apply a safety factor.  Stopping
+    at ``POWER_ITER_MAX`` iterations without meeting ``POWER_ITER_TOL``
+    logs a warning on the ``bpiree`` logger.
     """
     M = np.asarray(M, dtype=np.float64)
     if M.size == 0:
@@ -177,7 +182,7 @@ def spectral_norm_sq(M: np.ndarray) -> float:
     k = M.shape[1]
     v = np.random.default_rng(0).standard_normal(k)
     v /= _norm(v)
-    lam = 0.0
+    lam = prev = 0.0
     for _ in range(POWER_ITER_MAX):
         w = M @ v
         u = M.T @ w
@@ -188,7 +193,10 @@ def spectral_norm_sq(M: np.ndarray) -> float:
         v = u / nu
         if abs(lam_new - lam) <= POWER_ITER_TOL * max(abs(lam_new), 1.0):
             return lam_new
-        lam = lam_new
+        prev, lam = lam, lam_new
+    logger.warning("power iteration on a %dx%d operator stopped at %d iterations, "
+                   "last relative change %.3g", *M.shape, POWER_ITER_MAX,
+                   abs(lam - prev) / max(abs(lam), 1.0))
     return lam
 
 
@@ -255,13 +263,6 @@ class _LinearLoss:
         """``spectral_norm_sq(A)``, estimated once per loss."""
         return spectral_norm_sq(self.A)
 
-    def operator_norm_sq(self, M: np.ndarray) -> float:
-        """``spectral_norm_sq(M)`` for a block operator taken from ``A``;
-        ``A`` itself, or a view of all of it, reuses :attr:`A_norm_sq`."""
-        if M.shape == self.A.shape and np.may_share_memory(M, self.A):
-            return self.A_norm_sq
-        return spectral_norm_sq(M)
-
     def block_plan(self, idx):
         """Plan of block ``idx``; rejects an empty, out-of-range or repeated index."""
         return self._plan(_check_block_indices(idx, self.dim))
@@ -274,8 +275,11 @@ class _LinearLoss:
         return self._lipschitz(_check_block_indices(idx, self.dim))
 
     def _lipschitz(self, idx) -> float:
-        # the operator is block diagonal across groups: its largest group norm
-        norm_sq = max(self.operator_norm_sq(A_sub) for _, _, A_sub in self._plan(idx).groups)
+        # the operator is block diagonal across groups: its largest group
+        # norm; a group over all of A is a view of it and reuses A's estimate
+        A = self.A
+        norm_sq = max(self.A_norm_sq if A_sub.shape == A.shape and np.may_share_memory(A_sub, A)
+                      else spectral_norm_sq(A_sub) for _, _, A_sub in self._plan(idx).groups)
         return _lipschitz_bound(norm_sq)
 
     def _plan(self, idx) -> _BlockPlan:
@@ -289,17 +293,17 @@ class _LinearLoss:
         for lo, hi in zip(cuts, cuts[1:]):
             pos = order[lo:hi]
             col = int(cols[pos[0]])
-            # rows 0..q-1 in order slice all of a C-ordered A, a view; other
-            # rows are copied, as a strided view is slower per matvec
+            # rows 0..q-1 in order slice all of A, a view (A is C-ordered);
+            # other rows are copied, as a strided view is slower per matvec
             rows = _as_index(idx[pos] - col * q)
             groups.append((col, pos, np.ascontiguousarray(self.A[:, rows])))
         return _BlockPlan(groups, self._column)
 
     def _checked_A(self, A, target: np.ndarray, name: str) -> np.ndarray:
-        """``A`` as float64, checked: a 2-d matrix with the rows of ``target``
-        (float64, named ``name``), both finite, and a finite loss at 0, where
-        every solve starts."""
-        A = np.asarray(A, dtype=np.float64)
+        """``A`` as C-ordered float64 (copied once if not), checked: a 2-d
+        matrix with the rows of ``target`` (float64, named ``name``), both
+        finite, and a finite loss at 0, where every solve starts."""
+        A = np.ascontiguousarray(A, dtype=np.float64)
         if A.ndim != 2:
             raise ValueError("A must be a 2-d matrix")
         if target.shape[0] != A.shape[0]:

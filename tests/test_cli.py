@@ -290,6 +290,16 @@ class TestIoFailure:
         assert "Traceback" not in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before
 
+    def test_blob_generate_onto_a_directory_exits_three_without_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, blob=True)
+        out = tmp_path / "out"
+        out.mkdir()
+        before = sorted(os.listdir(tmp_path))
+        assert main(["generate", "--config", cfg, "--out", str(out)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+        assert not any(out.iterdir())
+
 
 class TestLpOnlyAlgorithmOnLogInstance:
     """bpiree-lp needs the smoothed lp penalty: on a log_ls instance both

@@ -220,3 +220,25 @@ class TestAtomicWrite:
         with pytest.raises(OSError, match="rename refused"):
             save_problem(path, other, blob=True)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["no-pair", "earlier-pair"])
+    def test_failed_blob_json_write_keeps_the_pair(self, tmp_path, monkeypatch, earlier):
+        # the blob is written first; a JSON that then cannot be renamed into
+        # place must not leave a new blob beside the old JSON, or alone
+        path = str(tmp_path / "inst.json")
+        if earlier:
+            prob, _ = build_problem(desk_spec("log_ls", seed=0, n=6, q=12, sparsity=2))
+            save_problem(path, prob, blob=True)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        other, _ = build_problem(desk_spec("log_ls", seed=1, n=6, q=12, sparsity=2))
+        real = os.replace
+
+        def replace(src, dst):
+            if dst == path:
+                raise OSError("rename refused")
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="rename refused"):
+            save_problem(path, other, blob=True)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

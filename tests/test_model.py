@@ -267,6 +267,39 @@ class TestBlockLipschitz:
             assert lhs <= L * np.linalg.norm(x[block] - y[block]) * (1 + 1e-12)
 
 
+class TestPowerIterationCap:
+    """A power iteration that stops at its cap says so, and returns what it
+    returned before."""
+
+    def test_cap_warns_once_naming_the_operator(self, monkeypatch, caplog):
+        M = np.random.default_rng(10).standard_normal((20, 30))
+        uncapped = model.spectral_norm_sq(M)
+        monkeypatch.setattr(model, "POWER_ITER_MAX", 3)
+        with caplog.at_level("WARNING", logger="bpiree"):
+            capped = model.spectral_norm_sq(M)
+        (record,) = caplog.records
+        assert record.name == "bpiree" and record.levelname == "WARNING"
+        assert "20x30" in record.getMessage() and "relative change" in record.getMessage()
+        assert capped < uncapped
+
+    def test_capped_value_is_unchanged(self, monkeypatch):
+        # three iterations by hand: the estimate of the third
+        M = np.random.default_rng(10).standard_normal((20, 30))
+        v = np.random.default_rng(0).standard_normal(30)
+        v /= math.sqrt(v.dot(v))
+        for _ in range(3):
+            u = M.T @ (M @ v)
+            lam = float(v @ u)
+            v = u / math.sqrt(u.dot(u))
+        monkeypatch.setattr(model, "POWER_ITER_MAX", 3)
+        assert model.spectral_norm_sq(M) == lam
+
+    def test_converged_iteration_is_silent(self, caplog):
+        with caplog.at_level("WARNING", logger="bpiree"):
+            assert model.spectral_norm_sq(np.diag([2.0, 1.0])) == pytest.approx(4.0)
+        assert caplog.records == []
+
+
 class TestBlockPlanChecks:
     """The public ``block_plan`` and ``block_grad`` check their block
     (``Problem`` builds its plans from the partition it validated,
@@ -545,7 +578,7 @@ class TestBlockPlans:
         in_order = [np.array_equal(rows, np.arange(loss.q)) for _, _, rows in expected]
         operators = [loss.A if whole else np.ascontiguousarray(loss.A[:, rows])
                      for (_, _, rows), whole in zip(expected, in_order)]
-        L = max(max(loss.operator_norm_sq(M) for M in operators) * 1.01, 1e-12)
+        L = max(max(model.spectral_norm_sq(M) for M in operators) * 1.01, 1e-12)
         for plan in (problem.block_plans()[0], loss.block_plan(block)):
             assert len(plan.groups) == len(expected)
             for (col, pos, A_sub), (ref_col, ref_pos, rows), M, whole in zip(
@@ -557,6 +590,44 @@ class TestBlockPlans:
                 np.testing.assert_array_equal(A_sub, M)
         assert problem.lipschitz[0] == L
         assert loss.block_lipschitz(block) == L
+
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    @pytest.mark.parametrize("t", [1, 4], ids=["log_ls-m1", "matrix_lp-whole-columns"])
+    def test_any_layout_of_A_gives_views_and_one_estimate(self, monkeypatch, layout, t):
+        # a loss keeps A C-ordered, so each operator over all of A is a view
+        # of it and the bound reuses A's one estimate, whatever A's layout
+        rng = np.random.default_rng(11)
+        A = rng.standard_normal((12, 20))
+        B = rng.standard_normal((12, t))
+        given = np.asfortranarray(A) if layout == "fortran" else np.repeat(A, 2, axis=1)[:, ::2]
+        assert not given.flags.c_contiguous and np.array_equal(given, A)
+
+        def problem_of(M):
+            loss = LeastSquares(M, B[:, 0]) if t == 1 else MatrixLeastSquares(M, B)
+            return Problem(loss, LogPenalty(lam=0.1, eps_bar=0.1),
+                           BlockPartition.contiguous(loss.dim, t))  # one block per column of X
+
+        problem, reference = problem_of(given), problem_of(A)
+        calls = []
+        real = model.spectral_norm_sq
+
+        def counted(M):
+            calls.append(M.shape)
+            return real(M)
+
+        monkeypatch.setattr(model, "spectral_norm_sq", counted)
+        assert problem.lipschitz == reference.lipschitz
+        assert calls == [A.shape] * 2  # once per problem
+        for plan in problem.block_plans():
+            for _col, _pos, A_sub in plan.groups:
+                assert A_sub.shape == A.shape and np.shares_memory(A_sub, problem.loss.A)
+        iterates = []
+        for prob in (problem, reference):
+            seen = []
+            solve(prob, SolverConfig(max_iter=30), np.zeros(prob.loss.dim),
+                  callback=lambda k, x: seen.append(x.copy()))
+            iterates.append(np.array(seen))
+        assert iterates[0].tobytes() == iterates[1].tobytes()
 
     SOLVERS = [solve, pire_ps_solve, pire_au_solve]
 
