@@ -12,7 +12,8 @@ every coordinate from the same point in one prox call:
 
 The sequential (Gauss-Seidel) rule, ``_sequential_step``, is
 ``pire_au_solve``, alternative updating: the blocks step in order, each from
-the freshest iterate with its ``1/L_b``.  One sweep is one iteration.
+the freshest iterate with its ``1/L_b``, by the block solver's move
+(``solver._block_move``).  One sweep is one iteration.
 
 Every method runs in the block solver's loop (``solver._iterate``) and
 commits through ``solver._commit``, so all share the stopping rule, trace
@@ -29,7 +30,8 @@ import numpy as np
 
 from .model import Problem, _lipschitz_bound
 from .prox import block_prox_step
-from .solver import SolverConfig, _commit, _iterate, _start_state, _StepInfo, fista_momentum
+from .solver import (SolverConfig, _block_move, _commit, _iterate, _start_state, _StepInfo,
+                     fista_momentum)
 
 __all__ = [
     "pire_solve",
@@ -76,17 +78,10 @@ def _sequential_step(state, problem, config, plans, alphas):
     The penalty is separable and no earlier block of the sweep moves a
     block's coordinates, so the weights at the sweep's base point are the
     block's weights at its turn: one call serves the whole sweep."""
-    penalty = problem.penalty
     x, r = state.x.copy(), state.residual
-    w = penalty.weights(state.x, state.eps)
+    w = problem.penalty.weights(state.x, state.eps)
     for idx, plan, alpha in zip(problem.partition.index, plans, alphas):
-        x_b = x[idx]  # a view for a slice index; written back last
-        new_block = block_prox_step(
-            x_b, plan.grad_from_residual(r), alpha, w[idx],
-            g=penalty.g, g_subgrad=penalty.g_subgrad,
-        )
-        r = plan.residual_after_delta(r, new_block - x_b)
-        x[idx] = new_block
+        x[idx], r = _block_move(plan, x[idx], r, alpha, w[idx], problem.penalty)
     return _accept(state, problem, x, r, 0.0)
 
 
@@ -107,22 +102,28 @@ def _run(problem, config, x0, callback, step, **params):
     return state.x, trace, status
 
 
+def _full_vector_solve(problem, config, x0, callback, use_momentum, abs_g_only=None):
+    """pire, irl1 and irl1e1: the simultaneous step with stepsize ``1/L``;
+    ``abs_g_only``, if given, names a method that needs the absolute-value ``g``."""
+    if abs_g_only is not None and problem.penalty.g is not None:
+        raise ValueError(f"{abs_g_only} requires the absolute-value g")
+    alpha = 1.0 / _lipschitz_bound(problem.loss.A_norm_sq)
+    return _run(problem, config, x0, callback, _simultaneous_step, alpha=alpha,
+                grad_of=problem.loss.grad_from_residual, use_momentum=use_momentum)
+
+
 def pire_solve(problem: Problem, config: SolverConfig, x0, callback=None):
     """Full-vector reweighted proximal iteration with stepsize ``1/L``.
 
     ``x^{k+1} = argmin sum_i w_i g(x_i) + (L/2) ||x - (x^k - grad f(x^k)/L)||^2``
     with ``w_i = lam * h'(g(x^k_i))`` and the global curvature bound ``L``.
     """
-    alpha = 1.0 / _lipschitz_bound(problem.loss.A_norm_sq)
-    return _run(problem, config, x0, callback, _simultaneous_step, alpha=alpha,
-                grad_of=problem.loss.grad_from_residual, use_momentum=False)
+    return _full_vector_solve(problem, config, x0, callback, use_momentum=False)
 
 
 def irl1_solve(problem: Problem, config: SolverConfig, x0, callback=None):
     """Reweighted l1 iteration; pire restricted to the absolute-value ``g``."""
-    if problem.penalty.g is not None:
-        raise ValueError("irl1 requires the absolute-value g")
-    return pire_solve(problem, config, x0, callback)
+    return _full_vector_solve(problem, config, x0, callback, False, "irl1")
 
 
 def irl1e1_solve(problem: Problem, config: SolverConfig, x0, callback=None):
@@ -132,11 +133,7 @@ def irl1e1_solve(problem: Problem, config: SolverConfig, x0, callback=None):
     ``config.fista_restart_N`` iterations); the first step equals an
     irl1 step because the first step of a restart period has zero momentum.
     """
-    if problem.penalty.g is not None:
-        raise ValueError("irl1e1 requires the absolute-value g")
-    alpha = 1.0 / _lipschitz_bound(problem.loss.A_norm_sq)
-    return _run(problem, config, x0, callback, _simultaneous_step, alpha=alpha,
-                grad_of=problem.loss.grad_from_residual, use_momentum=True)
+    return _full_vector_solve(problem, config, x0, callback, True, "irl1e1")
 
 
 def pire_ps_solve(problem: Problem, config: SolverConfig, x0, callback=None):

@@ -232,26 +232,30 @@ def _lipschitz_bound(norm_sq: float) -> float:
 
 class _BlockPlan:
     """The operator of a least-squares block.  ``groups`` holds, for each
-    residual column the block touches (a vector loss has one), the column,
-    the block's positions in it in block order and the C-contiguous
-    ``A[:, rows]`` acting on them; ``column(col)`` indexes that column."""
+    residual column the block touches, the column, the block's positions in
+    it in block order and the C-contiguous ``A[:, rows]`` acting on them.
+    A vector loss's block has one group, the whole residual, in block order."""
 
-    def __init__(self, groups, column):
+    def __init__(self, groups):
         self.groups = groups
-        # each group's residual index, and its positions as a slice where they can be
-        self._parts = [(column(col), _as_index(pos), A_sub) for col, pos, A_sub in groups]
+        # each group's positions as a slice where they can be
+        self._parts = [(col, _as_index(pos), A_sub) for col, pos, A_sub in groups]
         self._size = sum(pos.size for _, pos, _ in groups)
 
     def grad_from_residual(self, r):
+        if r.ndim == 1:  # a vector loss's residual: the one group's product is the gradient
+            return self.groups[0][2].T @ r
         out = np.empty(self._size)
-        for at, pos, A_sub in self._parts:
-            out[pos] = A_sub.T @ r[at]
+        for col, pos, A_sub in self._parts:
+            out[pos] = A_sub.T @ r[:, col]
         return out
 
     def residual_after_delta(self, r, delta):
+        if r.ndim == 1:
+            return r + self.groups[0][2] @ delta
         r = r.copy()
-        for at, pos, A_sub in self._parts:
-            r[at] += A_sub @ delta[pos]
+        for col, pos, A_sub in self._parts:
+            r[:, col] += A_sub @ delta[pos]
         return r
 
 
@@ -297,7 +301,7 @@ class _LinearLoss:
             # other rows are copied, as a strided view is slower per matvec
             rows = _as_index(idx[pos] - col * q)
             groups.append((col, pos, np.ascontiguousarray(self.A[:, rows])))
-        return _BlockPlan(groups, self._column)
+        return _BlockPlan(groups)
 
     def _checked_A(self, A, target: np.ndarray, name: str) -> np.ndarray:
         """``A`` as C-ordered float64 (copied once if not), checked: a 2-d
@@ -361,8 +365,6 @@ class LeastSquares(_LinearLoss):
     def grad_from_residual(self, r) -> np.ndarray:
         return self.A.T @ r
 
-    _column = staticmethod(lambda col: ...)  # the residual is its one column
-
 
 class MatrixLeastSquares(_LinearLoss):
     """Smooth loss ``f(X) = 0.5 * ||A X - B||_F^2`` over a flattened variable.
@@ -392,8 +394,6 @@ class MatrixLeastSquares(_LinearLoss):
 
     def grad_from_residual(self, r) -> np.ndarray:
         return (self.A.T @ r).ravel(order="F")
-
-    _column = staticmethod(lambda col: (slice(None), col))
 
 
 def _check_block_indices(idx, dim: int) -> np.ndarray:
@@ -496,6 +496,17 @@ class LogPenalty:
         return self.lam * float((np.log(np.abs(x) + self.eps_bar) - self._log_eps_bar).sum())
 
 
+def _smoothing_factors(eps) -> np.ndarray:
+    """``eps`` as float64; raises ``ValueError`` unless it is given, finite and positive."""
+    if eps is None:
+        raise ValueError("SmoothedLp penalty requires smoothing factors")
+    eps = np.asarray(eps, dtype=np.float64)
+    # min and max propagate NaN, so these two reductions reject it too
+    if eps.size and not 0.0 < eps.min() <= eps.max() < np.inf:
+        raise ValueError("smoothing factors must be finite and positive")
+    return eps
+
+
 @dataclass(frozen=True)
 class SmoothedLp:
     """Smoothed lp penalty ``h(t; e) = (t + e^2)^p`` with ``g = |.|``, 0 < p < 1.
@@ -519,12 +530,7 @@ class SmoothedLp:
 
     def weights(self, x, eps=None) -> np.ndarray:
         """Majorization weights ``lam * p * (|x_j| + eps_j^2)^(p-1)``."""
-        if eps is None:
-            raise ValueError("SmoothedLp penalty requires smoothing factors")
-        eps = np.asarray(eps, dtype=np.float64)
-        # min and max propagate NaN, so these two reductions reject it too
-        if eps.size and not 0.0 < eps.min() <= eps.max() < np.inf:
-            raise ValueError("smoothing factors must be finite and positive")
+        eps = _smoothing_factors(eps)
         return self.lam * self.p * (np.abs(x) + eps**2) ** (self.p - 1.0)
 
     def value(self, x, eps=None) -> float:
@@ -625,12 +631,13 @@ class Problem:
 def eval_objective(loss, penalty, x, eps=None) -> float:
     """Full objective ``f(x) + lam * sum_j h(g(x_j))``.
 
-    For the SmoothedLp penalty the smoothing vector ``eps`` is required and
-    the penalty reads ``lam * sum_j (|x_j| + eps_j^2)^p``.
+    For the SmoothedLp penalty the smoothing vector ``eps`` is required,
+    finite and positive, and the penalty reads ``lam * sum_j (|x_j| + eps_j^2)^p``.
     """
     x = loss._check_x(x)
-    if eps is not None and np.asarray(eps).ravel().shape[0] != x.shape[0]:
-        raise ValueError("eps must have the same length as x")
-    if not isinstance(penalty, SmoothedLp) and eps is not None:
+    if isinstance(penalty, SmoothedLp):
+        if _smoothing_factors(eps).ravel().shape[0] != x.shape[0]:
+            raise ValueError("eps must have the same length as x")
+    elif eps is not None:
         raise ValueError("smoothing factors only apply to the SmoothedLp penalty")
     return loss.value(x) + penalty.value(x, eps)

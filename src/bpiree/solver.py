@@ -377,6 +377,13 @@ def _commit(state: SolverState, block: int, idx, new, residual, f: float, F: flo
     return step_norm, step_rel
 
 
+def _block_move(plan, x_hat, r_hat, alpha, w, penalty):
+    """Every block step's prox move from ``x_hat``: the new block and the residual after it."""
+    new_block = block_prox_step(x_hat, plan.grad_from_residual(r_hat), alpha, w,
+                                g=penalty.g, g_subgrad=penalty.g_subgrad)
+    return new_block, plan.residual_after_delta(r_hat, new_block - x_hat)
+
+
 def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> _StepInfo:
     """Run one iteration in place and return what it did (block, momentum,
     retry flag, relative step and, with ``check_descent``, the descent
@@ -415,7 +422,6 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> _
     prev_diff = x_block - state.x_prev[idx]
     eps_block = state.eps[idx] if state.eps is not None else None
     w_block = penalty.weights(x_block, eps_block)
-    g, g_subgrad = penalty.g, penalty.g_subgrad
     pen_others = (state.F_current - state.f) - state.block_pen[b]
 
     def attempt(beta_try):
@@ -424,9 +430,7 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> _
         else:
             x_hat = x_block + beta_try * prev_diff
             r_hat = plan.residual_after_delta(state.residual, x_hat - x_block)
-        grad = plan.grad_from_residual(r_hat)
-        new_block = block_prox_step(x_hat, grad, alpha, w_block, g=g, g_subgrad=g_subgrad)
-        r_new = plan.residual_after_delta(r_hat, new_block - x_hat)
+        new_block, r_new = _block_move(plan, x_hat, r_hat, alpha, w_block, penalty)
         f_new = problem.loss.value_from_residual(r_new)
         pen_block = penalty.value(new_block, eps_block)
         return new_block, r_new, f_new, pen_block, f_new + pen_others + pen_block

@@ -145,6 +145,21 @@ class TestIrl1:
         with pytest.raises(ValueError, match="irl1e1 requires the absolute-value g"):
             irl1e1_solve(prob, SolverConfig(), np.zeros(2))
 
+    @pytest.mark.parametrize("seed", [0, 13])
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_irl1_is_pire_bit_for_bit(self, seed, m):
+        prob, _ = build_problem(desk_spec("log_ls", seed=seed, m=m))
+        cfg = SolverConfig(record_trace=True, max_iter=2000)
+        runs = []
+        for run in (pire_solve, irl1_solve):
+            seen = []
+            x, trace, status = run(prob, cfg, np.zeros(prob.loss.dim),
+                                   callback=lambda k, xk: seen.append(xk.tobytes()))
+            columns = {k: v for k, v in trace.columns.items() if k != "wall_ns"}
+            runs.append((seen, x.tobytes(), json.dumps(columns), trace.iterations, status))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) == runs[0][3] > 0
+
     def test_first_steps_agree_with_and_without_momentum(self):
         prob, _ = build_problem(desk_spec("log_ls", seed=1))
         x0 = np.zeros(prob.loss.dim)

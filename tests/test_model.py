@@ -22,7 +22,7 @@ from bpiree.model import (
     validate_partition,
 )
 from bpiree.prox import NumericalFailure
-from bpiree.solver import SolverConfig, init_state, solve
+from bpiree.solver import SolverConfig, init_state, solve, stationarity_residual
 
 
 class TestValidatePartition:
@@ -170,6 +170,19 @@ class TestEvalObjective:
             eval_objective(loss, SmoothedLp(lam=1.0, p=0.5), np.zeros(2))
         with pytest.raises(ValueError):
             eval_objective(loss, LogPenalty(lam=1.0, eps_bar=1.0), np.zeros(2), eps=np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, 0.0, np.inf])
+    @pytest.mark.parametrize("where", ["all", "one"])
+    def test_bad_smoothing_factors_rejected_like_the_residual(self, bad, where):
+        # one check serves both: NaN, infinite, zero or negative raises
+        problem, x_true = build_problem(desk_spec("matrix_lp", seed=0))
+        eps = np.full(problem.loss.dim, 0.5)
+        eps[slice(None) if where == "all" else 7] = bad
+        for evaluate in (lambda: eval_objective(problem.loss, problem.penalty, x_true, eps),
+                         lambda: stationarity_residual(problem, x_true, eps)):
+            with pytest.raises(ValueError,
+                               match="^smoothing factors must be finite and positive$"):
+                evaluate()
 
 
 class TestBlockGradient:
@@ -547,6 +560,27 @@ class TestBlockPlans:
             assert A_sub.flags.c_contiguous
             assert not np.shares_memory(A_sub, loss.A)
             np.testing.assert_array_equal(A_sub, A[:, idx])
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_vector_plan_skips_the_scatter_bit_for_bit(self, m):
+        # a vector plan's one group covers the whole residual with the block
+        # in order, so the general scatter and copy paths give the same bits
+        problem, _ = build_problem(desk_spec("log_ls", seed=0))
+        rng = np.random.default_rng(m)
+        n = problem.loss.dim
+        blocks = np.array_split(rng.permutation(n), m) if m > 1 else (np.arange(n),)
+        partition = BlockPartition(blocks=tuple(blocks), n=n)
+        problem = Problem(problem.loss, problem.penalty, partition)
+        r = problem.loss.residual(rng.standard_normal(n))
+        for idx, plan in zip(partition.blocks, problem.block_plans()):
+            ((_col, pos, A_sub),) = plan.groups
+            delta = rng.standard_normal(idx.size)
+            grad = np.empty(idx.size)
+            grad[pos] = A_sub.T @ r
+            after = r.copy()
+            after += A_sub @ delta[pos]
+            assert plan.grad_from_residual(r).tobytes() == grad.tobytes()
+            assert plan.residual_after_delta(r, delta).tobytes() == after.tobytes()
 
     @staticmethod
     def _reference_groups(loss, idx):

@@ -207,7 +207,9 @@ class TestCommit:
         else:
             step = functools.partial(baselines._sequential_step, plans=prob.block_plans(),
                                      alphas=[0.1, 0.1])
-        return baselines, "block -1", step, prob, config, solver._start_state(prob, config, x0)
+        # the sequential sweep takes the block step's move, which calls solver's prox
+        module = baselines if kind == "simultaneous" else solver
+        return module, "block -1", step, prob, config, solver._start_state(prob, config, x0)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_non_finite_move_commits_nothing(self, monkeypatch, kind):
