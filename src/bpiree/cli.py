@@ -14,10 +14,13 @@ dimensions, and desk matrix_lp's ``lam``.  The env var ``BPIREE_LOG`` in
 {error, info, debug} controls logging.  Output files are written via
 temp-file-then-rename, so failures never leave partial files.
 
-Exit codes: 0 success (solve: converged), 2 malformed config or instance,
-unknown algorithm or an algorithm the instance does not support (bpiree-lp
-on a log_ls instance), 3 I/O failure, 4 solve hit the iteration cap, 5
-numerical failure.
+Exit codes: 0 success (solve: converged), 4 solve hit the iteration cap.
+Every failure prints one stderr line ``<kind>: <message>``.  Commands
+raise, and :func:`main` alone turns a failure into its exit code and line:
+``config error`` (a malformed config, an unknown algorithm, or one the
+instance does not support, such as bpiree-lp on a log_ls instance) exits
+2, ``i/o error`` (naming the path) 3 and ``numerical failure`` 5.  The one
+line :func:`cmd_solve` prints itself is ``malformed instance``, exit 2.
 """
 
 from __future__ import annotations
@@ -131,11 +134,7 @@ def cmd_generate(args) -> int:
     if not isinstance(blob, bool):
         raise ConfigError(f"blob must be true or false, got {blob!r}")
     problem, x_true = build_problem(_spec_from_config(config))
-    try:
-        save_problem(args.out, problem, x_true=x_true, blob=blob)
-    except OSError as exc:
-        logger.error("cannot write %s: %s", args.out, exc)
-        return EXIT_IO
+    save_problem(args.out, problem, x_true=x_true, blob=blob)
     logger.info("wrote %s", args.out)
     return EXIT_OK
 
@@ -144,14 +143,9 @@ def cmd_solve(args) -> int:
     config = _load_config(args)
     algo = args.algo
     if algo not in ALGORITHMS:
-        print(f"unknown algorithm {algo!r}; choose from {sorted(ALGORITHMS)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unknown algorithm {algo!r}; choose from {sorted(ALGORITHMS)}")
     try:
         problem, _x_true = load_problem(args.instance)
-    except OSError as exc:
-        logger.error("cannot read instance: %s", exc)
-        return EXIT_IO
     except (KeyError, ValueError) as exc:
         print(f"malformed instance: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -163,8 +157,7 @@ def cmd_solve(args) -> int:
         raise ConfigError(str(exc)) from exc
 
     if algo == "bpiree-lp" and not problem.smoothed_lp:
-        print(f"{algo} requires an instance with the smoothed lp penalty", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{algo} requires an instance with the smoothed lp penalty")
     x0 = np.zeros(problem.loss.dim)
     if algo == "bpiree-lp":
         x, _eps, trace, status = solve_lp(problem, solver_cfg, x0)
@@ -180,18 +173,10 @@ def cmd_solve(args) -> int:
         f"{residual!r} {status.value}"
     )
     if args.trace is not None:
-        try:
-            write_trace_csv(args.trace, trace, algo=algo)
-        except OSError as exc:
-            logger.error("cannot write trace: %s", exc)
-            return EXIT_IO
-    if status is SolveStatus.CONVERGED:
-        return EXIT_OK
-    if status is SolveStatus.MAX_ITER:
-        return EXIT_MAX_ITER
-    print(f"numerical failure: {algo} stopped after {trace.iterations} iterations",
-          file=sys.stderr)
-    return EXIT_NUMERICAL
+        write_trace_csv(args.trace, trace, algo=algo)
+    if status is SolveStatus.NUMERICAL_FAILURE:
+        raise NumericalFailure(f"{algo} stopped after {trace.iterations} iterations")
+    return EXIT_OK if status is SolveStatus.CONVERGED else EXIT_MAX_ITER
 
 
 def cmd_compare(args) -> int:
@@ -200,11 +185,7 @@ def cmd_compare(args) -> int:
     report = run_comparison(spec)
     text = report.to_text()
     if args.out is not None:
-        try:
-            atomic_write_text(args.out, report.to_json())
-        except OSError as exc:
-            logger.error("cannot write report: %s", exc)
-            return EXIT_IO
+        atomic_write_text(args.out, report.to_json())
     sys.stdout.write(text)
     return EXIT_OK
 

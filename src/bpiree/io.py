@@ -62,7 +62,10 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def _atomic_write(path: str, data, mode: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, mode) as f:
             f.write(data)

@@ -634,10 +634,18 @@ def eval_objective(loss, penalty, x, eps=None) -> float:
     For the SmoothedLp penalty the smoothing vector ``eps`` is required,
     finite and positive, and the penalty reads ``lam * sum_j (|x_j| + eps_j^2)^p``.
     """
+    x = _check_point(loss, penalty, x, eps)
+    return loss.value(x) + penalty.value(x, eps)
+
+
+def _check_point(loss, penalty, x, eps) -> np.ndarray:
+    """``x`` as a flat float64 vector; raises ``ValueError`` unless it has the
+    loss's length and ``eps`` fits the penalty: for SmoothedLp given, finite,
+    positive and one per coordinate, for any other penalty absent."""
     x = loss._check_x(x)
     if isinstance(penalty, SmoothedLp):
         if _smoothing_factors(eps).ravel().shape[0] != x.shape[0]:
             raise ValueError("eps must have the same length as x")
     elif eps is not None:
         raise ValueError("smoothing factors only apply to the SmoothedLp penalty")
-    return loss.value(x) + penalty.value(x, eps)
+    return x

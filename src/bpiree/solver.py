@@ -23,7 +23,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .model import Problem, SmoothedLp, _norm, check_field_types
+from .model import Problem, SmoothedLp, _check_point, _norm, check_field_types
 from .prox import NumericalFailure, block_prox_step
 
 __all__ = [
@@ -582,15 +582,16 @@ def stationarity_residual(problem: Problem, x, eps=None) -> float:
 
     Only available for the absolute-value ``g``.  The weights
     ``w_j = lam * h'(|x_j|)`` come from the penalty at ``x``; the smoothed
-    lp penalty needs its smoothing factors ``eps``.  Coordinate-wise the
-    residual is ``grad_j + w_j * sign(x_j)`` on the support and
-    ``max(|grad_j| - w_j, 0)`` at zeros.
+    lp penalty needs its smoothing factors ``eps``.  ``x`` and ``eps`` are
+    checked as :func:`~bpiree.model.eval_objective` checks them.
+    Coordinate-wise the residual is ``grad_j + w_j * sign(x_j)`` on the
+    support and ``max(|grad_j| - w_j, 0)`` at zeros.
     """
     if problem.penalty.g is not None:
         raise NotImplementedError(
             "stationarity residual is only defined for the absolute-value g"
         )
-    x = np.asarray(x, dtype=np.float64).ravel()
+    x = _check_point(problem.loss, problem.penalty, x, eps)
     weights = problem.penalty.weights(x, eps)
     grad = problem.loss.grad(x)
     r = np.where(

@@ -301,6 +301,48 @@ class TestIoFailure:
         assert not any(out.iterdir())
 
 
+class TestFailureLine:
+    """Every failure prints one ``<kind>: <message>`` stderr line, with no
+    traceback and no file left behind; an I/O line names the path given."""
+
+    @pytest.mark.parametrize("argv, target, code, kind", [
+        (lambda cfg, inst, path: ["generate", "--config", cfg, "--out", path],
+         "missing", 3, "i/o error"),
+        (lambda cfg, inst, path: ["generate", "--config", cfg, "--out", path],
+         "directory", 3, "i/o error"),
+        (lambda cfg, inst, path: ["compare", "--config", cfg, "--out", path],
+         "missing", 3, "i/o error"),
+        (lambda cfg, inst, path: ["solve", inst, "--algo", "pire", "--trace", path],
+         "missing", 3, "i/o error"),
+        (lambda cfg, inst, path: ["solve", path, "--algo", "pire"],
+         "missing", 3, "i/o error"),
+        (lambda cfg, inst, path: ["solve", inst, "--algo", "nope", "--trace", path],
+         "new", 2, "config error"),
+        (lambda cfg, inst, path: ["solve", inst, "--algo", "bpiree-lp", "--trace", path],
+         "new", 2, "config error"),
+    ], ids=["generate-out", "generate-onto-directory", "compare-out", "solve-trace",
+            "solve-instance", "unknown-algo", "lp-algo-on-log-instance"])
+    def test_one_stderr_line(self, tmp_path, capsys, argv, target, code, kind):
+        cfg = write_config(tmp_path)
+        inst = str(tmp_path / "inst.json")
+        assert main(["generate", "--config", cfg, "--out", inst]) == 0
+        path = {"missing": tmp_path / "missing" / "out.json",
+                "directory": tmp_path / "out", "new": tmp_path / "trace.csv"}[target]
+        if target == "directory":
+            path.mkdir()
+        before = sorted(os.listdir(tmp_path))
+        capsys.readouterr()
+        assert main(argv(cfg, inst, str(path))) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"{kind}: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
+        if kind == "i/o error":
+            assert str(path) in err
+        assert sorted(os.listdir(tmp_path)) == before
+        if target == "directory":
+            assert not any(path.iterdir())
+
+
 class TestLpOnlyAlgorithmOnLogInstance:
     """bpiree-lp needs the smoothed lp penalty: on a log_ls instance both
     commands stop with a config error before any solve."""

@@ -184,6 +184,22 @@ class TestEvalObjective:
                                match="^smoothing factors must be finite and positive$"):
                 evaluate()
 
+    @pytest.mark.parametrize("example, x_len, eps_len, message", [
+        ("matrix_lp", None, 1, "^eps must have the same length as x$"),
+        ("log_ls", None, None, "^smoothing factors only apply to the SmoothedLp penalty$"),
+        ("matrix_lp", 5, None, "^x has length 5, expected {dim}$"),
+    ], ids=["short-eps", "eps-with-log", "short-x"])
+    def test_point_rejected_like_the_residual(self, example, x_len, eps_len, message):
+        # None stands for the problem's dimension
+        problem, _ = build_problem(desk_spec(example, seed=0))
+        dim = problem.loss.dim
+        x = np.zeros(x_len or dim)
+        eps = np.full(eps_len or dim, 0.5)
+        for evaluate in (lambda: eval_objective(problem.loss, problem.penalty, x, eps),
+                         lambda: stationarity_residual(problem, x, eps)):
+            with pytest.raises(ValueError, match=message.format(dim=dim)):
+                evaluate()
+
 
 class TestBlockGradient:
     def test_identity_gradient(self):
