@@ -10,8 +10,10 @@ Every command is deterministic given its config: all randomness flows
 from the config seed through numpy's PCG64 generator.  ``--set key=value``
 (repeatable, dotted keys allowed, values parsed as JSON when possible)
 overrides config entries; ``--scale desk|paper`` fills in preset problem
-dimensions, and desk matrix_lp's ``lam``.  The env var ``BPIREE_LOG`` in
-{error, info, debug} controls logging.  Output files are written via
+dimensions, and desk matrix_lp's ``lam``.  Each :func:`main` call reads the
+env var ``BPIREE_LOG`` in {error, info, debug} and, for its length only, sets
+the ``bpiree`` logger to that level with a handler on its own stderr; the
+root logger is left alone.  Output files are written via
 temp-file-then-rename, so failures never leave partial files.
 
 Exit codes: 0 success (solve: converged), 4 solve hit the iteration cap.
@@ -223,20 +225,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("BPIREE_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(
-        level=levels.get(level_name, logging.ERROR),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    _configure_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(levels.get(os.environ.get("BPIREE_LOG", "error").lower(), logging.ERROR))
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, BuildError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -247,6 +244,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,10 @@ A trace CSV has one column per entry of ``Trace.columns``, in order:
 ``eps_min,eps_max,support_size,sign_fixed`` for smoothed-lp block runs and
 a final ``algo`` column in merged exports); floats are written in shortest
 round-trip decimal form, booleans as 0/1 and integers as decimals.
+
+Every file is written to a new ``.tmp-<random>`` file beside it, created
+0o666 less the umask (which no write changes), then renamed into place; a
+failed write names the path it was given and keeps the old file.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 from typing import Optional
 
 import numpy as np
@@ -60,22 +63,27 @@ def atomic_write_text(path: str, text: str) -> None:
     _atomic_write(path, text, "w")
 
 
-def _atomic_write(path: str, data, mode: str) -> None:
+def _unused_name(path: str) -> str:
+    """A ``.tmp-<random>`` name beside ``path`` that no file has."""
     directory = os.path.dirname(os.path.abspath(path))
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.urandom(6).hex()}")
+        if not os.path.lexists(tmp):
+            return tmp
+
+
+def _atomic_write(path: str, data, mode: str) -> None:
+    tmp = _unused_name(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    except OSError as exc:  # name the file asked for, not the temporary one
-        raise OSError(exc.errno, exc.strerror, path) from exc
-    try:
-        with os.fdopen(fd, mode) as f:
+        # O_EXCL never opens a file another writer made; the kernel applies the umask
+        with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), mode) as f:
             f.write(data)
-        umask = os.umask(0)  # reading the umask means setting it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp created the file 0o600
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc  # the file asked for
         raise
 
 
@@ -133,7 +141,10 @@ def save_problem(path: str, problem: Problem, x_true=None, blob: bool = False) -
         return
     # the JSON names the blob, so the blob is replaced first, with the old
     # one set aside to go back if the JSON then cannot be written
-    old = _set_aside(blob_path)
+    old = None
+    if os.path.isfile(blob_path):
+        old = _unused_name(blob_path)
+        os.replace(blob_path, old)
     try:
         _atomic_write(blob_path, np.ascontiguousarray(A, dtype="<f8").tobytes(), "wb")
         atomic_write_text(path, text)
@@ -145,21 +156,6 @@ def save_problem(path: str, problem: Problem, x_true=None, blob: bool = False) -
         raise
     if old is not None:
         os.unlink(old)
-
-
-def _set_aside(path: str) -> Optional[str]:
-    """Move the file at ``path`` to a temporary name in its directory and
-    return that name; ``None`` when ``path`` is no file."""
-    if not os.path.isfile(path):
-        return None
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
-    os.close(fd)
-    try:
-        os.replace(path, tmp)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return tmp
 
 
 def _floats(value, name: str) -> np.ndarray:

@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, determinism, file handling."""
 
+import contextlib
+import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -337,10 +340,28 @@ class TestFailureLine:
         assert err.startswith(f"{kind}: ") and err.count("\n") == 1 and err.endswith("\n")
         assert "Traceback" not in err
         if kind == "i/o error":
-            assert str(path) in err
+            assert str(path) in err and ".tmp-" not in err
         assert sorted(os.listdir(tmp_path)) == before
         if target == "directory":
             assert not any(path.iterdir())
+
+
+class TestLogging:
+    def test_each_call_logs_to_its_own_stderr(self, tmp_path, monkeypatch):
+        # BPIREE_LOG is read on every call, each call's lines go to the stderr
+        # of that call, and the root logger is left as it was
+        monkeypatch.setenv("BPIREE_LOG", "info")
+        cfg = write_config(tmp_path)
+        root = logging.getLogger()
+        before = (list(root.handlers), root.level)
+        for name in ("g0.json", "g1.json"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(["generate", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            assert err.getvalue() == f"INFO bpiree: wrote {tmp_path / name}\n"
+            assert out.getvalue() == ""
+        assert (list(root.handlers), root.level) == before
+        assert not logging.getLogger("bpiree").handlers
 
 
 class TestLpOnlyAlgorithmOnLogInstance:

@@ -209,6 +209,22 @@ class TestAtomicWrite:
         for name in ("out.txt", "inst.json", "inst.json.A.bin"):
             assert os.stat(tmp_path / name).st_mode & 0o777 == mode
 
+    def test_no_write_changes_the_umask(self, tmp_path, monkeypatch):
+        set_umask = os.umask
+        old = set_umask(0o027)
+        try:
+            def umask(mask):
+                raise AssertionError("a write set the process umask")
+
+            monkeypatch.setattr(os, "umask", umask)
+            atomic_write_text(str(tmp_path / "out.txt"), "hello")
+            prob, _ = build_problem(desk_spec("log_ls", seed=0, n=6, q=12, sparsity=2))
+            save_problem(str(tmp_path / "inst.json"), prob, blob=True)
+        finally:
+            set_umask(old)
+        for name in ("out.txt", "inst.json", "inst.json.A.bin"):
+            assert os.stat(tmp_path / name).st_mode & 0o777 == 0o640
+
     def test_failed_blob_write_keeps_old_files(self, tmp_path, monkeypatch):
         prob, _ = build_problem(desk_spec("log_ls", seed=0, n=6, q=12, sparsity=2))
         path = str(tmp_path / "inst.json")
