@@ -3,12 +3,12 @@
 All of these solve the same composite objective as the block solver,
 without per-block extrapolation state, and take the weights at the current
 iterate.  The simultaneous (Jacobi) rule, ``_simultaneous_step``, moves
-every coordinate from the same point in one prox call:
+every coordinate along the loss's gradient at one point, in one prox call:
 
 * ``pire_solve`` - the loss gradient with the global stepsize ``1/L``.
 * ``irl1_solve`` / ``irl1e1_solve`` - pire for the absolute-value ``g``;
   "e1" extrapolates the whole vector with the restarted momentum sequence.
-* ``pire_ps_solve`` - parallel splitting: block gradients, stepsizes ``1/L_b``.
+* ``pire_ps_solve`` - parallel splitting: pire with per-block stepsizes ``1/L_b``.
 
 The sequential (Gauss-Seidel) rule, ``_sequential_step``, is
 ``pire_au_solve``, alternative updating: the blocks step in order, each from
@@ -51,10 +51,9 @@ def _accept(state, problem, x_new, r_new, beta):
     return _StepInfo(block=-1, beta_used=beta, retried=False, step_rel=step_rel)
 
 
-def _simultaneous_step(state, problem, config, alpha, grad_of, use_momentum):
+def _simultaneous_step(state, problem, config, alpha, use_momentum):
     """pire, irl1, irl1e1 and pire-ps: every coordinate steps from the same
-    point with stepsize ``alpha`` (a scalar, or one per coordinate);
-    ``grad_of(r)`` is the gradient at residual ``r``."""
+    point along the loss's gradient, stepsize ``alpha`` (one, or per coordinate)."""
     loss, penalty, x = problem.loss, problem.penalty, state.x
     beta = 0.0
     if use_momentum:
@@ -66,7 +65,7 @@ def _simultaneous_step(state, problem, config, alpha, grad_of, use_momentum):
         r_hat = loss.residual(x_hat)
     else:
         x_hat, r_hat = x, state.residual
-    x_new = block_prox_step(x_hat, grad_of(r_hat), alpha, w, g=penalty.g,
+    x_new = block_prox_step(x_hat, loss.grad_from_residual(r_hat), alpha, w, g=penalty.g,
                             g_subgrad=penalty.g_subgrad)
     return _accept(state, problem, x_new, loss.residual(x_new), beta)
 
@@ -85,14 +84,6 @@ def _sequential_step(state, problem, config, plans, alphas):
     return _accept(state, problem, x, r, 0.0)
 
 
-def _plan_grad(problem, plans, r):
-    """The gradient at residual ``r``, gathered from the block ``plans``."""
-    grad = np.empty(problem.loss.dim)
-    for idx, plan in zip(problem.partition.index, plans):
-        grad[idx] = plan.grad_from_residual(r)
-    return grad
-
-
 def _run(problem, config, x0, callback, step, **params):
     """Run ``step`` with ``params`` from ``x0`` in the shared loop; one
     small step (one iteration, or one sweep) stops it."""
@@ -109,7 +100,7 @@ def _full_vector_solve(problem, config, x0, callback, use_momentum, abs_g_only=N
         raise ValueError(f"{abs_g_only} requires the absolute-value g")
     alpha = 1.0 / _lipschitz_bound(problem.loss.A_norm_sq)
     return _run(problem, config, x0, callback, _simultaneous_step, alpha=alpha,
-                grad_of=problem.loss.grad_from_residual, use_momentum=use_momentum)
+                use_momentum=use_momentum)
 
 
 def pire_solve(problem: Problem, config: SolverConfig, x0, callback=None):
@@ -137,16 +128,15 @@ def irl1e1_solve(problem: Problem, config: SolverConfig, x0, callback=None):
 
 
 def pire_ps_solve(problem: Problem, config: SolverConfig, x0, callback=None):
-    """Parallel-splitting sweeps: all blocks step from the same base point.
+    """Parallel-splitting sweeps: pire with the per-block stepsizes ``1/L_b``.
 
-    Weights are frozen at sweep start and every block uses its own
-    stepsize ``1/L_b``; one sweep is one iteration of the stopping rule.
+    All blocks step from the sweep's base point, with weights frozen there;
+    one sweep is one iteration of the stopping rule.
     """
     alpha = np.empty(problem.loss.dim)
     for idx, L in zip(problem.partition.index, problem.lipschitz):
         alpha[idx] = 1.0 / L
     return _run(problem, config, x0, callback, _simultaneous_step, alpha=alpha,
-                grad_of=functools.partial(_plan_grad, problem, problem.block_plans()),
                 use_momentum=False)
 
 

@@ -8,9 +8,9 @@ Two problem families are covered, both planted sparse recovery tasks:
 * ``matrix_lp`` - matrix least squares with the smoothed lp penalty; the
   flattened variable is split into contiguous blocks.
 
-All randomness flows from one integer seed through numpy's PCG64
-generator, so regeneration is bit-exact.  Desk-scale defaults keep the
-full suite under a minute; paper-scale dimensions sit behind ``scale``.
+All randomness flows from one integer seed through numpy's PCG64 generator,
+so regeneration on one numpy/BLAS build and thread count is bit-exact.  Desk
+defaults keep the suite under a minute; paper dimensions sit behind ``scale``.
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ failed write names the path it was given and keeps the old file.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -72,19 +73,27 @@ def _unused_name(path: str) -> str:
             return tmp
 
 
-def _atomic_write(path: str, data, mode: str) -> None:
-    tmp = _unused_name(path)
+@contextlib.contextmanager
+def _through(tmp: str, path: str):
+    """A write of ``path`` by way of ``tmp``: on failure ``tmp`` is deleted, and an
+    ``OSError`` with an errno is re-raised naming ``path``, the file asked for."""
     try:
-        # O_EXCL never opens a file another writer made; the kernel applies the umask
-        with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), mode) as f:
-            f.write(data)
-        os.replace(tmp, path)
+        yield
     except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
         if isinstance(exc, OSError) and exc.errno is not None:
-            raise OSError(exc.errno, exc.strerror, path) from exc  # the file asked for
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
+
+
+def _atomic_write(path: str, data, mode: str) -> None:
+    tmp = _unused_name(path)
+    with _through(tmp, path):
+        # O_EXCL never opens a file another writer made; the kernel applies the umask
+        with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), mode) as f:
+            f.write(data)
+        os.replace(tmp, path)
 
 
 # the instance penalty's "type" -> its class; the other keys are the class's fields
@@ -141,10 +150,10 @@ def save_problem(path: str, problem: Problem, x_true=None, blob: bool = False) -
         return
     # the JSON names the blob, so the blob is replaced first, with the old
     # one set aside to go back if the JSON then cannot be written
-    old = None
-    if os.path.isfile(blob_path):
-        old = _unused_name(blob_path)
-        os.replace(blob_path, old)
+    old = _unused_name(blob_path) if os.path.isfile(blob_path) else None
+    if old is not None:
+        with _through(old, path):  # a failed set-aside names the path given, too
+            os.replace(blob_path, old)
     try:
         _atomic_write(blob_path, np.ascontiguousarray(A, dtype="<f8").tobytes(), "wb")
         atomic_write_text(path, text)

@@ -208,21 +208,24 @@ def _first_below(gap, level):
     return int(below[0])
 
 
-@pytest.mark.parametrize("m", [1, 10])
-def test_convergence_and_local_rate_as_stated(m):
-    """The paper's other two claims, on desk well log_ls, seeds 0-3: with
-    the admissible momentum bound and no safeguard, a tight run converges to
-    a point whose scaled stationarity residual is at machine precision; the
-    path has finite length, nearly all of it walked before F - F* falls to
-    1e-6*|F*|; and F - F* then shrinks at a constant linear rate, as a KL
-    exponent of 1/2 gives.  F* is each run's final F.  The ill-conditioned
-    runs are left out: with these settings ill m=1 seed 2 and ill m=10
-    seeds 1-3 end MaxIter at 30,000.  A failure here is a solver finding,
-    not a tolerance to tune."""
-    config = SolverConfig(momentum="bound", safeguard=False, tol=1e-15, max_iter=30000,
+@pytest.mark.parametrize("conditioning,m", [("well", 1), ("well", 10), ("ill", 1), ("ill", 10)],
+                         ids=["1", "10", "ill-1", "ill-10"])
+def test_convergence_and_local_rate_as_stated(conditioning, m):
+    """The paper's other two claims, on desk well and ill log_ls, seeds 0-3:
+    with the admissible momentum bound and no safeguard, a tight run
+    converges to a point whose scaled stationarity residual is at machine
+    precision; the path has finite length, nearly all of it walked before
+    F - F* falls to 1e-6*|F*|; and F - F* then shrinks at a constant linear
+    rate, as a KL exponent of 1/2 gives.  F* is each run's final F.  The
+    ill-conditioned runs spend most of their iterations identifying the
+    support (ill m=10 seed 2 converges at about 101,000), so they get
+    120,000 iterations where the well runs get 30,000.  A failure here is a
+    solver finding, not a tolerance to tune."""
+    config = SolverConfig(momentum="bound", safeguard=False, tol=1e-15,
+                          max_iter=30000 if conditioning == "well" else 120000,
                           record_trace=True)
     for seed in range(4):
-        prob, _ = build_problem(desk_spec("log_ls", seed=seed, m=m))
+        prob, _ = build_problem(desk_spec("log_ls", seed=seed, conditioning=conditioning, m=m))
         x0 = np.zeros(prob.loss.dim)
         path = []
         last = [x0]
@@ -232,7 +235,7 @@ def test_convergence_and_local_rate_as_stated(m):
             last[0] = x.copy()
 
         x, trace, status = solve(prob, config, x0, callback=step_length)
-        where = f"m={m} seed {seed}"
+        where = f"{conditioning} m={m} seed {seed}"
         assert status is SolveStatus.CONVERGED, where
         scaled = stationarity_residual(prob, x) / np.linalg.norm(prob.loss.grad(x0))
         assert scaled <= 1e-12, f"{where}: scaled residual {scaled:.2e}"

@@ -292,9 +292,10 @@ def _reference_baseline(algo, problem, config, x0):
     """Run one baseline written out as its own loop: the full-vector
     methods (pire, irl1, irl1e1) step every coordinate with ``1/L`` for the
     whole operator and recompute the residual; pire-ps steps every block
-    from the sweep's base point with weights frozen at sweep start and
-    recomputes the residual; pire-au walks the blocks with fresh weights and
-    updates the residual after each block.  Every prox call takes the
+    from the sweep's base point along its entries of the full gradient
+    there, with weights frozen at sweep start, and recomputes the residual;
+    pire-au walks the blocks with fresh weights and updates the residual
+    after each block.  Every prox call takes the
     penalty's ``g`` unscaled.  Returns one ``(x bytes, F hex, step_rel hex)``
     row per iteration, the stop iteration and the status value."""
     loss, penalty = problem.loss, problem.penalty
@@ -328,9 +329,9 @@ def _reference_baseline(algo, problem, config, x0):
         elif algo == "pire-ps":
             w = penalty.weights(x_start, eps)
             x = x_start.copy()
-            for b, (plan, idx) in enumerate(zip(plans, problem.partition.blocks)):
-                grad = plan.grad_from_residual(r)
-                x[idx] = prox(x_start[idx], grad, alphas[b], w[idx])
+            grad = loss.grad_from_residual(r)
+            for b, idx in enumerate(problem.partition.blocks):
+                x[idx] = prox(x_start[idx], grad[idx], alphas[b], w[idx])
             r = loss.residual(x)
         else:
             for b, (plan, idx) in enumerate(zip(plans, problem.partition.blocks)):

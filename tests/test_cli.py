@@ -274,6 +274,28 @@ class TestSolve:
         assert "eps0 must be at least" in captured.err
 
 
+class TestBlasThreadCount:
+    def test_solve_is_byte_identical_at_one_and_two_threads(self, tmp_path):
+        # a log_ls solve on fixed data uses only matrix-vector products, whose
+        # bits do not depend on the BLAS thread count; the instance is written once
+        inst = str(tmp_path / "inst.json")
+        assert main(["generate", "--set", 'example="log_ls"', "--scale", "desk",
+                     "--out", inst]) == 0
+        outputs = []
+        for threads in ("1", "2"):
+            trace = tmp_path / f"trace-{threads}.csv"
+            res = subprocess.run(
+                [sys.executable, "-m", "bpiree", "solve", inst, "--algo", "bpiree",
+                 "--trace", str(trace)], capture_output=True, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "BPIREE_LOG": "error"},
+            )
+            assert res.returncode == 0, res.stderr
+            rows = [line.split(",") for line in trace.read_text().splitlines()]
+            wall = rows[0].index("wall_ns")
+            outputs.append((res.stdout, [row[:wall] + row[wall + 1:] for row in rows]))
+        assert outputs[0] == outputs[1]
+
+
 class TestIoFailure:
     """A path that cannot be read or written exits 3 and leaves no file."""
 

@@ -1,5 +1,6 @@
 """Problem-instance JSON, trace CSV, atomic writes."""
 
+import errno
 import json
 import math
 import os
@@ -235,6 +236,29 @@ class TestAtomicWrite:
         self._failing_replace(monkeypatch)
         with pytest.raises(OSError, match="rename refused"):
             save_problem(path, other, blob=True)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_failed_blob_set_aside_names_the_path_given(self, tmp_path, monkeypatch):
+        # the old blob's move to a temporary name fails: the error names the
+        # instance path, as every other failed write does, and both files stay
+        prob, _ = build_problem(desk_spec("log_ls", seed=0, n=6, q=12, sparsity=2))
+        path = str(tmp_path / "inst.json")
+        save_problem(path, prob, blob=True)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        other, _ = build_problem(desk_spec("log_ls", seed=1, n=6, q=12, sparsity=2))
+        real = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst).startswith(".tmp-"):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src, dst)
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(PermissionError) as info:
+            save_problem(path, other, blob=True)
+        assert (info.value.errno, info.value.filename, info.value.filename2) == (
+            errno.EACCES, path, None)
+        assert ".tmp-" not in str(info.value)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("earlier", [False, True], ids=["no-pair", "earlier-pair"])

@@ -699,7 +699,7 @@ class TestBlockPlans:
         assert len(calls) == problem.partition.m == 3
         assert state.last_block_L.tolist() == list(problem.lipschitz)
 
-    @pytest.mark.parametrize("run", SOLVERS)
+    @pytest.mark.parametrize("run", [solve, pire_au_solve])
     def test_solve_frees_its_block_operators(self, monkeypatch, run):
         # desk log_ls blocks (m=3) are copies of A's columns, not views
         problem, _ = build_problem(desk_spec("log_ls", seed=0, m=3))
@@ -717,6 +717,23 @@ class TestBlockPlans:
         assert len(used) == 3
         assert all(ref() is None for ref in used.values())
         assert problem.lipschitz  # the problem is alive and keeps its bounds
+
+    def test_pire_ps_builds_no_block_operator(self, monkeypatch):
+        # pire-ps's Jacobi step reads the loss's gradient; only the bounds,
+        # estimated here before the solve, build block operators
+        problem, _ = build_problem(desk_spec("log_ls", seed=0, m=3))
+        assert len(problem.lipschitz) == 3
+        loss_cls = type(problem.loss)
+        real = loss_cls._plan
+        built = []
+
+        def recording(loss, idx):
+            built.append(idx)
+            return real(loss, idx)
+
+        monkeypatch.setattr(loss_cls, "_plan", recording)
+        pire_ps_solve(problem, SolverConfig(max_iter=5), np.zeros(problem.loss.dim))
+        assert built == []
 
     @pytest.mark.parametrize("run", [solve, pire_au_solve])
     def test_solve_does_not_keep_the_problem_alive(self, run):

@@ -202,8 +202,7 @@ class TestCommit:
         if kind == "block":
             return solver, "block 0", bpiree_step, prob, config, init_state(prob, config, x0)
         if kind == "simultaneous":
-            step = functools.partial(baselines._simultaneous_step, alpha=0.1,
-                                     grad_of=prob.loss.grad_from_residual, use_momentum=False)
+            step = functools.partial(baselines._simultaneous_step, alpha=0.1, use_momentum=False)
         else:
             step = functools.partial(baselines._sequential_step, plans=prob.block_plans(),
                                      alphas=[0.1, 0.1])
