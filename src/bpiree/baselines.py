@@ -13,7 +13,10 @@ every coordinate along the loss's gradient at one point, in one prox call:
 The sequential (Gauss-Seidel) rule, ``_sequential_step``, is
 ``pire_au_solve``, alternative updating: the blocks step in order, each from
 the freshest iterate with its ``1/L_b``, by the block solver's move
-(``solver._block_move``).  One sweep is one iteration.
+(``solver._block_move``).  One sweep is one iteration.  When no two blocks
+share a residual entry (every coupling number ``Problem.coupling`` is 1) no
+block's move changes another block's gradient, so the sweep is the Jacobi
+step and pire-au runs pire-ps.
 
 Every method runs in the block solver's loop (``solver._iterate``) and
 commits through ``solver._commit``, so all share the stopping rule, trace
@@ -142,7 +145,14 @@ def pire_ps_solve(problem: Problem, config: SolverConfig, x0, callback=None):
 
 def pire_au_solve(problem: Problem, config: SolverConfig, x0, callback=None):
     """Alternative-updating sweeps: blocks step sequentially within a sweep,
-    each from the freshest iterate with its own stepsize ``1/L_b``."""
+    each from the freshest iterate with its own stepsize ``1/L_b``.
+
+    On a partition where no two blocks share a residual entry (one block
+    included) the sweep is the same map as the Jacobi step, and this is
+    :func:`pire_ps_solve`, bit for bit.
+    """
+    if max(problem.coupling) == 1:
+        return pire_ps_solve(problem, config, x0, callback)
     alphas = [1.0 / L for L in problem.lipschitz]
     return _run(problem, config, x0, callback, _sequential_step,
                 plans=problem.block_plans(), alphas=alphas)

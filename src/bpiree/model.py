@@ -622,6 +622,17 @@ class Problem:
         per problem; each block's operator is built for it and dropped."""
         return tuple(map(self.loss._lipschitz, self.partition.blocks))
 
+    @functools.cached_property
+    def coupling(self) -> tuple:
+        """Each block's coupling number c_b, in partition order: the largest
+        number of blocks that touch one of its residual columns (flat index
+        ``j*q + i`` lies in column ``j``; a vector loss has one).  When every
+        c_b is 1, no two blocks share a residual entry."""
+        q = self.loss.A.shape[1]
+        cols = [np.unique(block // q) for block in self.partition.blocks]
+        touching = np.bincount(np.concatenate(cols))
+        return tuple(int(touching[c].max()) for c in cols)
+
     def block_plans(self) -> tuple:
         """Fresh block plans (operators, without bounds), from the partition
         :meth:`__post_init__` validated; the caller owns them."""

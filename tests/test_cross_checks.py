@@ -314,17 +314,23 @@ class TestColumnPermutation:
     ``j*q + inv[r]``.  Block steps only touch their own columns and the
     residual, so their iterates match bit for bit; pire-ps and irl1e1
     recompute the full residual ``A x - b``, whose sum order the permutation
-    changes, so theirs match to rounding."""
+    changes, so theirs match to rounding.  pire-au takes block steps only
+    where two blocks share a residual column (log_ls m=4, matrix m=3 and
+    m=7); elsewhere it is pire-ps."""
 
     CASES = [("log_ls", seed, m) for seed in (0, 13, 17) for m in (1, 4)]
     MATRIX_CASES = [("matrix_lp", seed, m) for seed in (0, 13) for m in (3, 5, 7)]
+    COUPLED = [case for case in CASES + MATRIX_CASES if case[2] in (3, 4, 7)]
+    UNCOUPLED = [case for case in CASES + MATRIX_CASES if case[2] in (1, 5)]
     EXACT = [
-        ("bpiree", SolverConfig(momentum="fista")),
-        ("bpiree", SolverConfig(momentum="fista", schedule="shuffled", seed=3)),
-        ("bpiree", SolverConfig()),
-        ("pire-au", SolverConfig()),
+        ("bpiree", SolverConfig(momentum="fista"), CASES + MATRIX_CASES),
+        ("bpiree", SolverConfig(momentum="fista", schedule="shuffled", seed=3),
+         CASES + MATRIX_CASES),
+        ("bpiree", SolverConfig(), CASES + MATRIX_CASES),
+        ("pire-au", SolverConfig(), COUPLED),
     ]
-    ROUNDED = [("pire-ps", SolverConfig()), ("irl1e1", SolverConfig())]
+    ROUNDED = [("pire-ps", SolverConfig(), CASES), ("irl1e1", SolverConfig(), CASES),
+               ("pire-au", SolverConfig(), UNCOUPLED)]
 
     @staticmethod
     def _pair(example, seed, m):
@@ -352,24 +358,26 @@ class TestColumnPermutation:
         x0 = np.zeros(prob.loss.dim)
         return (ALGORITHMS[algo](prob, config, x0), ALGORITHMS[algo](permuted, config, x0))
 
-    @pytest.mark.parametrize("algo,config", EXACT,
+    @pytest.mark.parametrize("algo,config,cases", EXACT,
                              ids=["fista", "fista-shuffled", "fista_capped", "pire-au"])
-    def test_block_steps_permute_bitwise(self, algo, config):
-        for example, seed, m in self.CASES + self.MATRIX_CASES:
+    def test_block_steps_permute_bitwise(self, algo, config, cases):
+        for example, seed, m in cases:
             prob, permuted, moved = self._pair(example, seed, m)
+            assert algo != "pire-au" or max(prob.coupling) > 1
             (x, trace, status), (x_p, trace_p, status_p) = self._runs(
                 algo, config, prob, permuted
             )
             assert (trace_p.iterations, status_p) == (trace.iterations, status), (example, seed, m)
             np.testing.assert_array_equal(x_p[moved], x, err_msg=f"{example}, seed {seed}, m {m}")
 
-    @pytest.mark.parametrize("algo,config", ROUNDED, ids=["pire-ps", "irl1e1"])
-    def test_full_residual_steps_permute_to_rounding(self, algo, config):
-        for example, seed, m in self.CASES:
+    @pytest.mark.parametrize("algo,config,cases", ROUNDED, ids=["pire-ps", "irl1e1", "pire-au"])
+    def test_full_residual_steps_permute_to_rounding(self, algo, config, cases):
+        for example, seed, m in cases:
             prob, permuted, inv = self._pair(example, seed, m)
+            assert algo != "pire-au" or max(prob.coupling) == 1
             (x, trace, status), (x_p, trace_p, status_p) = self._runs(
                 algo, config, prob, permuted
             )
-            assert (trace_p.iterations, status_p) == (trace.iterations, status), (seed, m)
+            assert (trace_p.iterations, status_p) == (trace.iterations, status), (example, seed, m)
             err = np.linalg.norm(x_p[inv] - x) / np.linalg.norm(x)
-            assert err <= 1e-7, (seed, m, err)
+            assert err <= 1e-7, (example, seed, m, err)

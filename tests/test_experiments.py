@@ -365,9 +365,9 @@ class TestProxCallPath:
             retries = sum(trace.columns["retried"])
             assert retries > 0
             assert calls == [n // m] * (k + retries)
-        elif algo == "pire-au":
-            assert calls == [n // m] * (m * k)
         else:
-            # the full-vector methods, and pire-ps, which batches its m
-            # blocks: one call on all n coordinates per iteration
+            # the full-vector methods, pire-ps, which batches its m blocks,
+            # and pire-au, which is pire-ps on these whole-column blocks:
+            # one call on all n coordinates per iteration
+            assert max(problem.coupling) == 1
             assert calls == [n] * k

@@ -467,6 +467,46 @@ class TestProblem:
             )
 
 
+class TestCoupling:
+    """``Problem.coupling``: per block, the largest number of blocks that
+    touch one of its residual columns."""
+
+    @staticmethod
+    def direct_count(problem):
+        q = problem.loss.A.shape[1]
+        cols = [{int(j) // q for j in block} for block in problem.partition.blocks]
+        touching = {c: sum(c in other for other in cols) for c in set().union(*cols)}
+        return tuple(max(touching[c] for c in own) for own in cols)
+
+    @pytest.mark.parametrize("m,expected", [(1, (1,)), (4, (4, 4, 4, 4))])
+    def test_vector_loss_has_one_residual_column(self, m, expected):
+        problem, _ = build_problem(desk_spec("log_ls", seed=0, m=m))
+        assert problem.coupling == expected
+
+    @pytest.mark.parametrize("m", [5, 10])
+    def test_desk_matrix_whole_column_blocks_are_uncoupled(self, m):
+        problem, _ = build_problem(desk_spec("matrix_lp", seed=0, m=m))
+        assert problem.coupling == (1,) * m
+
+    @pytest.mark.parametrize("m", [3, 7])
+    def test_desk_matrix_split_columns_match_a_direct_count(self, m):
+        problem, _ = build_problem(desk_spec("matrix_lp", seed=0, m=m))
+        assert problem.coupling == self.direct_count(problem)
+        assert max(problem.coupling) > 1
+
+    def test_shuffled_whole_column_blocks_are_uncoupled(self):
+        rng = np.random.default_rng(3)
+        q, t = 4, 6
+        loss = MatrixLeastSquares(rng.standard_normal((5, q)), rng.standard_normal((5, t)))
+        columns = rng.permutation(t).reshape(3, 2)
+        blocks = tuple(rng.permutation(np.concatenate([np.arange(c * q, (c + 1) * q)
+                                                       for c in pair]))
+                       for pair in columns)
+        problem = Problem(loss, SmoothedLp(lam=0.1, p=0.5), BlockPartition(blocks, q * t))
+        assert not any(isinstance(i, slice) for i in problem.partition.index)
+        assert problem.coupling == (1, 1, 1) == self.direct_count(problem)
+
+
 class TestNonFiniteData:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("operand", ["A", "b"])
