@@ -143,6 +143,12 @@ def pire_ps_solve(problem: Problem, config: SolverConfig, x0, callback=None):
                 use_momentum=False)
 
 
+def _sweep_is_jacobi(problem: Problem) -> bool:
+    """Whether a pire-au sweep on ``problem`` is the Jacobi step, so that
+    pire-au runs pire-ps: no two blocks share a residual entry."""
+    return max(problem.coupling) == 1
+
+
 def pire_au_solve(problem: Problem, config: SolverConfig, x0, callback=None):
     """Alternative-updating sweeps: blocks step sequentially within a sweep,
     each from the freshest iterate with its own stepsize ``1/L_b``.
@@ -151,7 +157,7 @@ def pire_au_solve(problem: Problem, config: SolverConfig, x0, callback=None):
     included) the sweep is the same map as the Jacobi step, and this is
     :func:`pire_ps_solve`, bit for bit.
     """
-    if max(problem.coupling) == 1:
+    if _sweep_is_jacobi(problem):
         return pire_ps_solve(problem, config, x0, callback)
     alphas = [1.0 / L for L in problem.lipschitz]
     return _run(problem, config, x0, callback, _sequential_step,

@@ -425,25 +425,32 @@ def _final_F(trace) -> float:
     return F[-1] if F else math.nan
 
 
+def _runs_as(algo: str, problem: Problem) -> str:
+    """The algorithm whose arithmetic ``algo`` runs on ``problem``."""
+    if algo == "pire-au" and baselines._sweep_is_jacobi(problem):
+        return "pire-ps"
+    return algo
+
+
 def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
     """Run every configured solver on one shared instance from ``x0 = 0``.
 
     The first block-solver entry (or the first entry) is the reference and
-    runs first.  Every other solver then runs once, tracking its distance
+    runs first.  Rows that run the same arithmetic share one run: the same
+    algorithm (pire-au where it runs pire-ps counts as pire-ps) with the
+    same config after harness defaults.  Every other run tracks its distance
     to the reference output on the way; only the reference runs a second
-    time, untraced, for its own curve.  Reported wall times are those of a
-    row's single run, so they include the curve tracking, except for the
-    reference, whose time covers its first run only.  A solver failure is
-    recorded in its row, with empty curves, and does not abort the report.
+    time, untraced, for its own curve.  A row's wall time is that of its
+    run, so it includes the curve tracking, except for the reference's,
+    which covers the first run only.  A solver failure is recorded in the
+    rows of its run, with empty curves, and does not abort the report.
     """
     problem, x_true = build_problem(spec)
     x0 = np.zeros(problem.loss.dim)
     entries = spec.solvers
     ref = next((e for e in entries if e.algo.startswith("bpiree")), entries[0])
 
-    def run(entry, callback=None, record_trace=True):
-        config = make_solver_config(spec, entry)
-        config.record_trace = record_trace
+    def run(entry, config, callback=None):
         t0 = time.perf_counter()
         try:
             x, trace, status = run_algorithm(entry.algo, problem, config, x0, callback=callback)
@@ -452,31 +459,37 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
             x, trace, status = None, None, SolveStatus.NUMERICAL_FAILURE
         return x, trace, status, time.perf_counter() - t0
 
-    ref_run = run(ref)
+    ref_run = run(ref, make_solver_config(spec, ref))
     x_ref, ref_trace = ref_run[:2]
     if x_ref is None:
         raise RuntimeError(f"reference solver {ref.label} produced no iterate")
     F_ref = _final_F(ref_trace)
     ref_norm = float(np.linalg.norm(x_ref))
 
+    runs = {}  # (algorithm run, config fields) -> (x, trace, status, wall, x_rel)
     results, curves = [], {}
     for entry in entries:
-        x_rel: List[float] = []
+        config = make_solver_config(spec, entry)
+        key = (_runs_as(entry.algo, problem), dataclasses.astuple(config))
+        if key not in runs:
+            x_rel: List[float] = []
 
-        def track(k, xk):
-            dist = _norm(xk - x_ref)
-            x_rel.append(dist / ref_norm if ref_norm != 0.0 else math.inf)
+            def track(k, xk):
+                dist = _norm(xk - x_ref)
+                x_rel.append(dist / ref_norm if ref_norm != 0.0 else math.inf)
 
-        if entry is ref:
-            run(entry, callback=track, record_trace=False)  # the row keeps ref_run's trace
-            x, trace, status, wall = ref_run
-        else:
-            x, trace, status, wall = run(entry, callback=track)
+            if entry is ref:
+                config.record_trace = False  # the row keeps ref_run's trace
+                run(entry, config, callback=track)
+                runs[key] = (*ref_run, x_rel)
+            else:
+                runs[key] = (*run(entry, config, callback=track), x_rel)
+        x, trace, status, wall, x_rel = runs[key]
         if x is None:
             curves[entry.label] = {"f_gap": [], "x_rel": []}
         else:
             f_gap = [abs(F - F_ref) for F in trace.columns["F"]]
-            curves[entry.label] = {"f_gap": f_gap, "x_rel": x_rel}
+            curves[entry.label] = {"f_gap": f_gap, "x_rel": list(x_rel)}
         results.append(
             SolverResult(
                 label=entry.label,

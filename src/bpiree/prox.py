@@ -142,10 +142,14 @@ def block_prox_step(
     weights = np.asarray(weights, dtype=np.float64).ravel()
     if not (x_hat.shape == grad_block.shape == weights.shape):
         raise ValueError("x_hat, grad_block and weights must have equal length")
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.ndim and alpha.shape != x_hat.shape:
-        raise ValueError("alpha must be a scalar or one stepsize per coordinate")
-    if not alpha.min(initial=np.inf) > 0:  # false for NaN too
+    if isinstance(alpha, float):  # every step's 1/L; np.float64 is a float
+        positive = alpha > 0  # false for NaN too
+    else:
+        alpha = np.asarray(alpha, dtype=np.float64)
+        if alpha.ndim and alpha.shape != x_hat.shape:
+            raise ValueError("alpha must be a scalar or one stepsize per coordinate")
+        positive = alpha.min(initial=np.inf) > 0
+    if not positive:
         raise ValueError("stepsize alpha must be positive")
     # one reduction rejects negative and NaN weights alike
     if weights.size and not weights.min() >= 0:

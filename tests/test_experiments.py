@@ -270,9 +270,11 @@ class TestRunComparison:
 class TestComparisonPasses:
     SPEC = dict(example="log_ls", seed=1, n=40, q=80, sparsity=3)
 
-    def test_reference_runs_twice_every_other_row_once(self, monkeypatch):
+    @staticmethod
+    def count_runs(monkeypatch, algos):
+        """Count each algorithm's runs; also keep each one's last final iterate."""
         calls, finals = {}, {}
-        for algo in ("bpiree", "irl1e1", "irl1"):
+        for algo in algos:
 
             def counted(problem, config, x0, callback=None, _run=experiments.ALGORITHMS[algo],
                         _algo=algo):
@@ -282,6 +284,19 @@ class TestComparisonPasses:
                 return out
 
             monkeypatch.setitem(experiments.ALGORITHMS, algo, counted)
+        return calls, finals
+
+    @staticmethod
+    def shared(report, a, b):
+        """Rows and curves of labels ``a`` and ``b`` agree in every field but
+        ``algo`` and ``label``."""
+        rows = {r.label: dataclasses.asdict(r) for r in report.results}
+        for label in (a, b):
+            del rows[label]["algo"], rows[label]["label"]
+        return rows[a] == rows[b] and report.curves[a] == report.curves[b]
+
+    def test_reference_runs_twice_every_other_row_once(self, monkeypatch):
+        calls, finals = self.count_runs(monkeypatch, ("bpiree", "irl1e1", "irl1"))
         report = run_comparison(desk_spec(**self.SPEC))
         assert calls == {"bpiree": 2, "irl1e1": 1, "irl1": 1}
         x_ref = finals["bpiree"]
@@ -330,6 +345,86 @@ class TestComparisonPasses:
         monkeypatch.setitem(experiments.ALGORITHMS, "bpiree", fails)
         with pytest.raises(RuntimeError, match="reference solver bpiree"):
             run_comparison(desk_spec(**self.SPEC))
+
+    def test_uncoupled_pire_au_and_pire_ps_share_one_run(self, monkeypatch):
+        # desk matrix_lp's blocks are whole columns, so pire-au runs pire-ps
+        spec = desk_spec("matrix_lp", seed=0)
+        calls, finals = self.count_runs(monkeypatch, ("bpiree-lp", "pire-au", "pire-ps"))
+        report = run_comparison(spec)
+        assert calls["bpiree-lp"] == 2
+        assert calls.get("pire-au", 0) + calls.get("pire-ps", 0) == 1
+        assert self.shared(report, "pire-au", "pire-ps")
+        assert len(report.curves["pire-ps"]["x_rel"]) > 0
+
+        # ... and that run is the one pire-ps makes on its own
+        problem, x_true = experiments.build_problem(spec)
+        x_ref = finals["bpiree-lp"]
+        x_rel = []
+
+        def track(k, xk):
+            x_rel.append(float(np.linalg.norm(xk - x_ref)) / float(np.linalg.norm(x_ref)))
+
+        config = make_solver_config(spec, SolverEntry("pire-ps"))
+        x, trace, status = run_algorithm("pire-ps", problem, config,
+                                         np.zeros(problem.loss.dim), callback=track)
+        row = next(r for r in report.results if r.label == "pire-ps")
+        F_ref = next(r for r in report.results if r.label == "bpiree-lp").F_final
+        assert (row.iterations, row.status, row.F_final) == (
+            trace.iterations, status.value, trace.columns["F"][-1])
+        assert row.rel_err_true == rel_err(x, x_true)
+        assert row.rel_err_ref == rel_err(x, x_ref)
+        assert report.curves["pire-ps"] == {
+            "f_gap": [abs(F - F_ref) for F in trace.columns["F"]], "x_rel": x_rel}
+
+    def test_coupled_pire_au_runs_its_own_sweep(self, monkeypatch):
+        # m=3 splits columns between blocks: pire-au is Gauss-Seidel, not pire-ps
+        calls, _ = self.count_runs(monkeypatch, ("bpiree-lp", "pire-au", "pire-ps"))
+        sweeps = []
+
+        def counted_sweep(*args, _step=baselines._sequential_step, **kwargs):
+            sweeps.append(1)
+            return _step(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "_sequential_step", counted_sweep)
+        report = run_comparison(desk_spec("matrix_lp", seed=0, m=3))
+        assert calls == {"bpiree-lp": 2, "pire-au": 1, "pire-ps": 1}
+        au = next(r for r in report.results if r.label == "pire-au")
+        assert len(sweeps) == au.iterations > 0
+        assert not self.shared(report, "pire-au", "pire-ps")
+
+    def test_rows_with_one_algo_and_config_share_one_run(self, monkeypatch):
+        calls, _ = self.count_runs(monkeypatch, ("bpiree", "irl1"))
+        rows = [{"algo": "bpiree"}, {"algo": "irl1", "label": "a"},
+                {"algo": "irl1", "label": "b"}]
+        report = run_comparison(desk_spec(**self.SPEC, solvers=rows))
+        assert calls == {"bpiree": 2, "irl1": 1}
+        assert self.shared(report, "a", "b")
+
+        calls.clear()
+        rows[2]["config"] = {"tol": 1e-5}
+        report = run_comparison(desk_spec(**self.SPEC, solvers=rows))
+        assert calls == {"bpiree": 2, "irl1": 2}
+        assert not self.shared(report, "a", "b")
+
+    def test_a_copy_of_the_reference_shares_its_runs(self, monkeypatch):
+        calls, _ = self.count_runs(monkeypatch, ("bpiree",))
+        rows = [{"algo": "bpiree"}, {"algo": "bpiree", "label": "again"}]
+        report = run_comparison(desk_spec(**self.SPEC, solvers=rows))
+        assert calls == {"bpiree": 2}
+        assert self.shared(report, "bpiree", "again")
+        assert report.curves["again"]["f_gap"][-1] == 0.0
+
+    def test_rows_of_a_failed_run_share_its_failure(self, monkeypatch):
+        def fails(problem, config, x0, callback=None):
+            raise RuntimeError("no iterate")
+
+        monkeypatch.setitem(experiments.ALGORITHMS, "irl1", fails)
+        rows = [{"algo": "bpiree"}, {"algo": "irl1", "label": "a"},
+                {"algo": "irl1", "label": "b"}]
+        report = run_comparison(desk_spec(**self.SPEC, solvers=rows))
+        assert self.shared(report, "a", "b")
+        assert report.curves["b"] == {"f_gap": [], "x_rel": []}
+        assert next(r for r in report.results if r.label == "b").status == "NumericalFailure"
 
 
 class TestProxCallPath:

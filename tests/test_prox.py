@@ -250,14 +250,19 @@ class TestBlockProxStep:
         prescaled = block_prox_step(x_hat, alpha * grad, 1.0, alpha * weights, **kw)
         assert out.tobytes() == prescaled.tobytes()
 
-    @pytest.mark.parametrize("alpha, match", [
-        (np.array([0.5, 0.0, 0.5]), "positive"),
-        (np.array([0.5, -1.0, 0.5]), "positive"),
-        (np.array([0.5, np.nan, 0.5]), "positive"),
-        (np.nan, "positive"),
-        (np.array([0.5, 0.5]), "one stepsize per coordinate"),
-        (np.full((3, 2), 0.5), "one stepsize per coordinate"),
-    ])
-    def test_rejects_bad_stepsizes(self, alpha, match):
-        with pytest.raises(ValueError, match=match):
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("form", [
+        float,  # the float path: one comparison
+        np.float64,  # a float subclass, so the float path too
+        np.array,  # 0-d array
+        lambda v: np.array([0.5, v, 0.5]),  # one entry of a per-coordinate array
+    ], ids=["float", "float64", "0-d", "per-coordinate"])
+    def test_rejects_a_stepsize_that_is_not_positive(self, form, value):
+        with pytest.raises(ValueError, match="stepsize alpha must be positive"):
+            block_prox_step(np.ones(3), np.ones(3), form(value), np.ones(3))
+
+    @pytest.mark.parametrize("alpha", [np.array([0.5, 0.5]), np.full((3, 2), 0.5)])
+    def test_rejects_stepsizes_of_the_wrong_shape(self, alpha):
+        with pytest.raises(ValueError,
+                           match="alpha must be a scalar or one stepsize per coordinate"):
             block_prox_step(np.ones(3), np.ones(3), alpha, np.ones(3))
