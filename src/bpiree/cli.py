@@ -154,7 +154,7 @@ def cmd_solve(args) -> int:
     # the top-level seed and mu are defaults the solver section overrides
     defaults = {k: config[k] for k in ("seed", "mu") if k in config}
     try:
-        solver_cfg = solver_config(defaults, config.get("solver"), {"record_trace": True})
+        solver_cfg = solver_config(defaults, config.get("solver"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -170,12 +170,13 @@ def cmd_solve(args) -> int:
     # a failed run's last finite iterate may overflow the gradient norm
     if status is not SolveStatus.NUMERICAL_FAILURE and problem.penalty.g is None:
         residual = stationarity_residual(problem, x, trace.eps)
+    # the trace first, so a failed write prints no result line
+    if args.trace is not None:
+        write_trace_csv(args.trace, trace, algo=algo)
     print(
         f"{algo} {trace.iterations} {F_final!r} {trace.final_step_rel!r} "
         f"{residual!r} {status.value}"
     )
-    if args.trace is not None:
-        write_trace_csv(args.trace, trace, algo=algo)
     if status is SolveStatus.NUMERICAL_FAILURE:
         raise NumericalFailure(f"{algo} stopped after {trace.iterations} iterations")
     return EXIT_OK if status is SolveStatus.CONVERGED else EXIT_MAX_ITER

@@ -99,8 +99,8 @@ class ExperimentSpec:
     Construction checks every field's type and all that ``build_problem``
     needs, the ill-conditioned shape included.  ``solver_defaults`` (not stored)
     are solver config values for every row, the default rows included; a
-    row's own ``config`` wins.  Every row's merged config is checked here,
-    including that it keeps ``record_trace`` on.
+    row's own ``config`` wins.  Every row's merged config is checked here by
+    :func:`solver_config`, which also rejects ``record_trace`` off.
     """
 
     example: str
@@ -159,11 +159,7 @@ class ExperimentSpec:
             raise ValueError("solver labels must be unique; set 'label' per entry")
         for i, entry in enumerate(self.solvers):
             try:
-                config = solver_config(
-                    _harness_defaults(self, entry), solver_defaults, entry.config)
-                if not config.record_trace:
-                    raise ValueError("record_trace must be true: compare reads F_final and "
-                                     "the f_gap curves from the trace")
+                solver_config(_harness_defaults(self, entry), solver_defaults, entry.config)
             except ValueError as exc:
                 raise ValueError(f"solver {entry.label!r}: {exc}") from None
             if solver_defaults:
@@ -308,15 +304,20 @@ ALGORITHMS = {
 
 
 def solver_config(*sections) -> SolverConfig:
-    """The checked ``SolverConfig`` of a run: ``sections`` are JSON objects
-    of SolverConfig fields, or None where absent; a later one wins, and a
-    field none sets keeps its default.  Raises ``ValueError`` naming the
-    first bad section, key or field."""
-    config = SolverConfig()
+    """The checked ``SolverConfig`` of a CLI run: ``sections`` are JSON
+    objects of SolverConfig fields, or None where absent; a later one wins,
+    and a field none sets keeps its default, ``record_trace`` being on.
+    Raises ``ValueError`` naming the first bad section, key or field, and
+    when the merged config turns the trace off: every CLI run reads its
+    results from the trace."""
+    config = SolverConfig(record_trace=True)
     for section in sections:
         if section is not None:
             config = from_json(SolverConfig, section, "solver config", base=config)
     config.validate()
+    if not config.record_trace:
+        raise ValueError("record_trace must be true: solve and compare read their "
+                         "results from the trace")
     return config
 
 
@@ -324,7 +325,7 @@ def _harness_defaults(spec: ExperimentSpec, entry: SolverEntry) -> dict:
     """What a comparison row takes from its spec; the block solvers run raw
     restarted momentum guarded by the monotone safeguard."""
     momentum = {"momentum": "fista"} if entry.algo.startswith("bpiree") else {}
-    return dict(seed=spec.seed, mu=spec.mu, record_trace=True, **momentum)
+    return dict(seed=spec.seed, mu=spec.mu, **momentum)
 
 
 def make_solver_config(spec: ExperimentSpec, entry: SolverEntry) -> SolverConfig:
@@ -435,15 +436,15 @@ def _runs_as(algo: str, problem: Problem) -> str:
 def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
     """Run every configured solver on one shared instance from ``x0 = 0``.
 
-    The first block-solver entry (or the first entry) is the reference and
-    runs first.  Rows that run the same arithmetic share one run: the same
-    algorithm (pire-au where it runs pire-ps counts as pire-ps) with the
-    same config after harness defaults.  Every other run tracks its distance
-    to the reference output on the way; only the reference runs a second
-    time, untraced, for its own curve.  A row's wall time is that of its
-    run, so it includes the curve tracking, except for the reference's,
-    which covers the first run only.  A solver failure is recorded in the
-    rows of its run, with empty curves, and does not abort the report.
+    The first block-solver entry (or the first entry) is the reference; it
+    runs first, on its own, for the target ``x_ref`` and ``F_ref``.  Then
+    every row runs traced, tracking its distance to ``x_ref`` on the way,
+    and rows that run the same arithmetic share one run: the same algorithm
+    (pire-au where it runs pire-ps counts as pire-ps) with the same config
+    after harness defaults.  The reference's row is one of these runs, so
+    it runs twice in all.  A row's wall time is that of its run, curve
+    tracking included.  A solver failure is recorded in the rows of its
+    run, with empty curves, and does not abort the report.
     """
     problem, x_true = build_problem(spec)
     x0 = np.zeros(problem.loss.dim)
@@ -459,8 +460,7 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
             x, trace, status = None, None, SolveStatus.NUMERICAL_FAILURE
         return x, trace, status, time.perf_counter() - t0
 
-    ref_run = run(ref, make_solver_config(spec, ref))
-    x_ref, ref_trace = ref_run[:2]
+    x_ref, ref_trace = run(ref, make_solver_config(spec, ref))[:2]
     if x_ref is None:
         raise RuntimeError(f"reference solver {ref.label} produced no iterate")
     F_ref = _final_F(ref_trace)
@@ -478,12 +478,7 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
                 dist = _norm(xk - x_ref)
                 x_rel.append(dist / ref_norm if ref_norm != 0.0 else math.inf)
 
-            if entry is ref:
-                config.record_trace = False  # the row keeps ref_run's trace
-                run(entry, config, callback=track)
-                runs[key] = (*ref_run, x_rel)
-            else:
-                runs[key] = (*run(entry, config, callback=track), x_rel)
+            runs[key] = (*run(entry, config, callback=track), x_rel)
         x, trace, status, wall, x_rel = runs[key]
         if x is None:
             curves[entry.label] = {"f_gap": [], "x_rel": []}

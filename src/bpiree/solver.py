@@ -411,9 +411,9 @@ def bpiree_step(state: SolverState, problem: Problem, config: SolverConfig) -> _
         beta = min(beta, extrapolation_bound(config.gamma, config.delta))
     elif config.momentum == "bound":
         beta = extrapolation_bound(config.gamma, config.delta)
-    # No usable two-point history for a block's first two updates.  Both
-    # schedules update every block once per cycle of m picks, so those are
-    # the picks of the first two cycles.
+    # beta = 0 for k <= 2m, a block's first two updates (one per cycle of m
+    # picks).  At the second, x_prev holds x0, a real two-point history: the
+    # reference iterates pin this rule until ROADMAP item 16b settles it.
     if k <= 2 * partition.m:
         beta = 0.0
 

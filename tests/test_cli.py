@@ -225,6 +225,16 @@ class TestSolve:
             f"config error: solver config must be an object, got {json.loads(section)!r}\n")
         assert_config_error(captured, trace)
 
+    def test_record_trace_off_exits_two_without_trace(self, tmp_path, instance, capsys):
+        capsys.readouterr()
+        trace = tmp_path / "trace.csv"
+        code = main(["solve", instance, "--algo", "bpiree", "--set",
+                     "solver.record_trace=false", "--trace", str(trace)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: record_trace must be true")
+        assert_config_error(captured, trace)
+
     def test_trace_written(self, tmp_path, instance):
         trace = str(tmp_path / "trace.csv")
         assert main(["solve", instance, "--algo", "irl1", "--trace", trace]) == 0
@@ -311,8 +321,11 @@ class TestIoFailure:
         assert main(["generate", "--config", cfg, "--out", inst]) == 0
         before = sorted(os.listdir(tmp_path))
         missing = str(tmp_path / "missing" / "out.json")
+        capsys.readouterr()
         assert main(argv(cfg, inst, missing)) == 3
-        assert "Traceback" not in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
         assert sorted(os.listdir(tmp_path)) == before
 
     def test_blob_generate_onto_a_directory_exits_three_without_file(self, tmp_path, capsys):
@@ -358,7 +371,9 @@ class TestFailureLine:
         before = sorted(os.listdir(tmp_path))
         capsys.readouterr()
         assert main(argv(cfg, inst, str(path))) == code
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
+        assert captured.out == ""
         assert err.startswith(f"{kind}: ") and err.count("\n") == 1 and err.endswith("\n")
         assert "Traceback" not in err
         if kind == "i/o error":
@@ -421,13 +436,16 @@ class TestNumericalFailure:
         cfg = write_config(tmp_path, n=100, q=300, sparsity=5, m=4, seed=0)
         inst = str(tmp_path / "inst.json")
         assert main(["generate", "--config", cfg, "--out", inst]) == 0
+        trace = tmp_path / "trace.csv"
         with np.errstate(over="ignore"):
-            code = main(["solve", inst, "--algo", "pire-ps"])
+            code = main(["solve", inst, "--algo", "pire-ps", "--trace", str(trace)])
         assert code == 5
         fields = capsys.readouterr().out.split()
         assert len(fields) == 6
         assert fields[0] == "pire-ps" and fields[-1] == "NumericalFailure"
         assert int(fields[1]) > 0
+        # the failed run's trace is written too, one row per iteration
+        assert len(trace.read_text().splitlines()) == 1 + int(fields[1])
 
     def test_failed_solve_prints_nan_residual_and_one_stderr_line(self, tmp_path, capsys):
         # no errstate: a numpy warning anywhere in the solve fails the test

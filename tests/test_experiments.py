@@ -307,9 +307,9 @@ class TestComparisonPasses:
             assert report.curves[row.label]["x_rel"][-1] == expected
             assert len(report.curves[row.label]["x_rel"]) == row.iterations
 
-    def test_reference_curve_pass_is_untraced(self, monkeypatch):
-        # the reference row keeps its first run's trace, so the second run,
-        # which only tracks the curve, records none
+    def test_every_row_runs_traced_with_its_curve(self, monkeypatch):
+        # the reference's first run only sets the target; its row, like
+        # every other, is a traced run that tracks the curve
         passes = []
 
         def logged(algo, problem, config, x0, callback=None, _run=experiments.run_algorithm):
@@ -318,7 +318,7 @@ class TestComparisonPasses:
 
         monkeypatch.setattr(experiments, "run_algorithm", logged)
         report = run_comparison(desk_spec(**self.SPEC))
-        assert passes == [("bpiree", False, True), ("bpiree", True, False),
+        assert passes == [("bpiree", False, True), ("bpiree", True, True),
                           ("irl1e1", True, True), ("irl1", True, True)]
         for row in report.results:
             assert len(report.curves[row.label]["f_gap"]) == row.iterations
