@@ -20,9 +20,9 @@ Exit codes: 0 success (solve: converged), 4 solve hit the iteration cap.
 Every failure prints one stderr line ``<kind>: <message>``.  Commands
 raise, and :func:`main` alone turns a failure into its exit code and line:
 ``config error`` (a malformed config, an unknown algorithm, or one the
-instance does not support, such as bpiree-lp on a log_ls instance) exits
-2, ``i/o error`` (naming the path) 3 and ``numerical failure`` 5.  The one
-line :func:`cmd_solve` prints itself is ``malformed instance``, exit 2.
+instance does not support, such as bpiree-lp on a log_ls instance) and
+``malformed instance`` exit 2, ``i/o error`` (naming the path) 3 and
+``numerical failure`` 5.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .experiments import (
 )
 from .io import atomic_write_text, load_problem, save_problem, write_trace_csv
 from .lp import solve_lp
-from .model import eval_objective, from_json
+from .model import check_field_types, eval_objective, from_json
 from .prox import NumericalFailure
 from .solver import SolveStatus, stationarity_residual
 
@@ -67,6 +67,10 @@ TOP_KEYS = SPEC_KEYS | {"solver", "blob"}
 
 class ConfigError(ValueError):
     """Malformed run configuration; the message names the offending field."""
+
+
+class MalformedInstance(ValueError):
+    """An instance file :func:`~bpiree.io.load_problem` cannot read."""
 
 
 def _parse_set_value(text: str):
@@ -118,6 +122,9 @@ def _load_config(args) -> dict:
     unknown = set(config) - TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config field {sorted(unknown)[0]!r}")
+    blob = config.get("blob", False)
+    if not isinstance(blob, bool):
+        raise ConfigError(f"blob must be true or false, got {blob!r}")
     return config
 
 
@@ -132,11 +139,8 @@ def _spec_from_config(config: dict) -> ExperimentSpec:
 
 def cmd_generate(args) -> int:
     config = _load_config(args)
-    blob = config.get("blob", False)
-    if not isinstance(blob, bool):
-        raise ConfigError(f"blob must be true or false, got {blob!r}")
     problem, x_true = build_problem(_spec_from_config(config))
-    save_problem(args.out, problem, x_true=x_true, blob=blob)
+    save_problem(args.out, problem, x_true=x_true, blob=config.get("blob", False))
     logger.info("wrote %s", args.out)
     return EXIT_OK
 
@@ -149,11 +153,12 @@ def cmd_solve(args) -> int:
     try:
         problem, _x_true = load_problem(args.instance)
     except (KeyError, ValueError) as exc:
-        print(f"malformed instance: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise MalformedInstance(str(exc)) from exc
     # the top-level seed and mu are defaults the solver section overrides
     defaults = {k: config[k] for k in ("seed", "mu") if k in config}
     try:
+        # the spec fields a solve is given are checked for type only
+        check_field_types(ExperimentSpec, config)
         solver_cfg = solver_config(defaults, config.get("solver"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -174,7 +179,7 @@ def cmd_solve(args) -> int:
     if args.trace is not None:
         write_trace_csv(args.trace, trace, algo=algo)
     print(
-        f"{algo} {trace.iterations} {F_final!r} {trace.final_step_rel!r} "
+        f"{algo} {trace.iterations} {F_final!r} {trace.last('step_rel')!r} "
         f"{residual!r} {status.value}"
     )
     if status is SolveStatus.NUMERICAL_FAILURE:
@@ -238,6 +243,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (ConfigError, BuildError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MalformedInstance as exc:
+        print(f"malformed instance: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -37,7 +37,7 @@ from .model import (
     check_field_types,
     from_json,
 )
-from .solver import SolveStatus, SolverConfig, _norm, solve
+from .solver import SolveStatus, SolverConfig, Trace, _norm, solve
 
 __all__ = [
     "ExperimentSpec",
@@ -420,12 +420,6 @@ class ComparisonReport:
         return "\n".join(lines) + "\n"
 
 
-def _final_F(trace) -> float:
-    """The last traced objective value; NaN for no trace or no rows."""
-    F = trace.columns["F"] if trace is not None else []
-    return F[-1] if F else math.nan
-
-
 def _runs_as(algo: str, problem: Problem) -> str:
     """The algorithm whose arithmetic ``algo`` runs on ``problem``."""
     if algo == "pire-au" and baselines._sweep_is_jacobi(problem):
@@ -443,27 +437,34 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
     (pire-au where it runs pire-ps counts as pire-ps) with the same config
     after harness defaults.  The reference's row is one of these runs, so
     it runs twice in all.  A row's wall time is that of its run, curve
-    tracking included.  A solver failure is recorded in the rows of its
-    run, with empty curves, and does not abort the report.
+    tracking included.  A row reads its values from its run's trace; a
+    run that raises has no iterate, an empty ``Trace()`` and status
+    ``NumericalFailure``, and does not abort the report.
     """
     problem, x_true = build_problem(spec)
     x0 = np.zeros(problem.loss.dim)
     entries = spec.solvers
     ref = next((e for e in entries if e.algo.startswith("bpiree")), entries[0])
 
-    def run(entry, config, callback=None):
+    def run(entry, config, x_rel=None):
+        # x_rel, when given, collects the distance to x_ref after each iteration
+        def track(k, xk):
+            dist = _norm(xk - x_ref)
+            x_rel.append(dist / ref_norm if ref_norm != 0.0 else math.inf)
+
         t0 = time.perf_counter()
         try:
-            x, trace, status = run_algorithm(entry.algo, problem, config, x0, callback=callback)
+            x, trace, status = run_algorithm(
+                entry.algo, problem, config, x0, callback=None if x_rel is None else track)
         except Exception as exc:  # recorded per solver, never fatal
             logger.warning("solver %s failed: %s", entry.label, exc)
-            x, trace, status = None, None, SolveStatus.NUMERICAL_FAILURE
-        return x, trace, status, time.perf_counter() - t0
+            x, trace, status, x_rel = None, Trace(), SolveStatus.NUMERICAL_FAILURE, []
+        return x, trace, status, time.perf_counter() - t0, x_rel
 
     x_ref, ref_trace = run(ref, make_solver_config(spec, ref))[:2]
     if x_ref is None:
         raise RuntimeError(f"reference solver {ref.label} produced no iterate")
-    F_ref = _final_F(ref_trace)
+    F_ref = ref_trace.last("F")
     ref_norm = float(np.linalg.norm(x_ref))
 
     runs = {}  # (algorithm run, config fields) -> (x, trace, status, wall, x_rel)
@@ -472,26 +473,17 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
         config = make_solver_config(spec, entry)
         key = (_runs_as(entry.algo, problem), dataclasses.astuple(config))
         if key not in runs:
-            x_rel: List[float] = []
-
-            def track(k, xk):
-                dist = _norm(xk - x_ref)
-                x_rel.append(dist / ref_norm if ref_norm != 0.0 else math.inf)
-
-            runs[key] = (*run(entry, config, callback=track), x_rel)
+            runs[key] = run(entry, config, x_rel=[])
         x, trace, status, wall, x_rel = runs[key]
-        if x is None:
-            curves[entry.label] = {"f_gap": [], "x_rel": []}
-        else:
-            f_gap = [abs(F - F_ref) for F in trace.columns["F"]]
-            curves[entry.label] = {"f_gap": f_gap, "x_rel": list(x_rel)}
+        f_gap = [abs(F - F_ref) for F in trace.columns["F"]]
+        curves[entry.label] = {"f_gap": f_gap, "x_rel": list(x_rel)}
         results.append(
             SolverResult(
                 label=entry.label,
                 algo=entry.algo,
-                iterations=trace.iterations if trace is not None else 0,
+                iterations=trace.iterations,
                 status=status.value,
-                F_final=_final_F(trace),
+                F_final=trace.last("F"),
                 rel_err_true=rel_err(x, x_true) if x is not None else math.inf,
                 rel_err_ref=rel_err(x, x_ref) if x is not None else math.nan,
                 wall_time_s=wall,

@@ -425,17 +425,18 @@ _FIELD_TYPES = {
 }
 
 
-def check_field_types(obj) -> None:
+def check_field_types(obj, values=None) -> None:
     """Raise ``ValueError`` naming the first field of dataclass ``obj``
-    whose value does not fit its annotation: ``int`` takes integers but not
-    bools, ``float`` finite reals but not bools, ``bool`` and ``str`` exactly
-    that type, ``Optional[str]`` None or a string.  Fields of other
-    annotations are not checked."""
+    whose value (its entry in the dict ``values``, if given) does not fit
+    its annotation: ``int`` takes integers but not bools, ``float`` finite
+    reals but not bools, ``bool`` and ``str`` exactly that type,
+    ``Optional[str]`` None or a string.  Fields of other annotations, and
+    fields ``values`` lacks, are not checked."""
+    values = vars(obj) if values is None else values
     for f in fields(obj):
         what, fits = _FIELD_TYPES.get(getattr(f.type, "__name__", f.type), (None, None))
-        value = getattr(obj, f.name)
-        if fits is not None and not fits(value):
-            raise ValueError(f"{f.name} must be {what}, got {value!r}")
+        if fits is not None and f.name in values and not fits(values[f.name]):
+            raise ValueError(f"{f.name} must be {what}, got {values[f.name]!r}")
 
 
 def from_json(cls, value, what: str = "", base=None):

@@ -166,9 +166,12 @@ class Trace:
         default_factory=lambda: {name: [] for name in _COLUMNS})
     certificates: List[CertificateRecord] = field(default_factory=list)
     iterations: int = 0
-    final_step_rel: float = math.nan
     support: Optional[SupportReport] = None  # smoothed-lp runs only
     eps: Optional[np.ndarray] = None
+
+    def last(self, name: str):
+        """The last row of column ``name``; NaN for a trace without rows."""
+        return self.columns[name][-1] if self.columns[name] else math.nan
 
 
 @dataclass
@@ -524,7 +527,6 @@ def _iterate(problem, config, state, step, window, callback=None):
         if state.k % 1000 == 0:
             logger.debug("iter %d block %d F=%.8e step_rel=%.3e",
                          state.k, info.block, state.F_current, info.step_rel)
-        trace.final_step_rel = info.step_rel
         if info.step_rel < config.tol:
             small_steps += 1
             if small_steps >= window:

@@ -12,10 +12,12 @@ import warnings
 import numpy as np
 import pytest
 
+from bpiree import solver
 from bpiree.cli import main
 from bpiree.experiments import ALGORITHMS, build_problem, desk_spec
 from bpiree.io import load_problem, save_problem
 from bpiree.lp import solve_lp
+from bpiree.prox import NumericalFailure
 from bpiree.solver import SolverConfig
 
 
@@ -242,6 +244,41 @@ class TestSolve:
         assert lines[0].endswith(",algo")
         assert len(lines) > 1
 
+    @pytest.mark.parametrize("algo", ["bpiree", "irl1e1", "pire-au"])
+    def test_rel_step_is_the_last_traced_step_rel(self, tmp_path, instance, capsys, algo):
+        trace = tmp_path / "trace.csv"
+        capsys.readouterr()
+        assert main(["solve", instance, "--algo", algo, "--trace", str(trace)]) == 0
+        lines = trace.read_text().splitlines()
+        last = dict(zip(lines[0].split(","), lines[-1].split(",")))
+        assert capsys.readouterr().out.split()[3] == repr(float(last["step_rel"]))
+
+    @pytest.mark.parametrize("field,value", [("n", "abc"), ("lam", "true"),
+                                             ("conditioning", "3")])
+    def test_spec_field_of_wrong_type_exits_two_without_trace(self, tmp_path, instance,
+                                                               capsys, field, value):
+        capsys.readouterr()
+        trace = tmp_path / "trace.csv"
+        assert main(["solve", instance, "--algo", "pire", "--set", f"{field}={value}",
+                     "--trace", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {field} must be ")
+        assert_config_error(captured, trace)
+
+    def test_spec_field_ranges_are_not_checked(self, instance):
+        # only generate and compare check ranges and fields against each other
+        assert main(["solve", instance, "--algo", "pire", "--set", "n=-3",
+                     "--set", "example=matrix_lp", "--set", "t=5"]) == 0
+
+    def test_blob_not_a_bool_exits_two_without_trace(self, tmp_path, instance, capsys):
+        capsys.readouterr()
+        trace = tmp_path / "trace.csv"
+        assert main(["solve", instance, "--algo", "pire", "--set", "blob=yes",
+                     "--trace", str(trace)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: blob must be true or false, got 'yes'\n"
+        assert_config_error(captured, trace)
+
     def test_all_algorithms_run(self, tmp_path, instance):
         for algo in ("bpiree", "pire", "pire-ps", "pire-au", "irl1", "irl1e1"):
             assert main(["solve", instance, "--algo", algo]) == 0
@@ -465,6 +502,20 @@ class TestNumericalFailure:
         assert captured.err == (
             f"numerical failure: pire-ps stopped after {fields[1]} iterations\n"
         )
+
+    def test_failed_first_step_prints_nan_rel_step(self, tmp_path, capsys, monkeypatch):
+        # a trace without rows has no last step
+        def fails(state, problem, config):
+            raise NumericalFailure("first step fails")
+
+        inst = str(tmp_path / "inst.json")
+        assert main(["generate", "--config", write_config(tmp_path), "--out", inst]) == 0
+        monkeypatch.setattr(solver, "bpiree_step", fails)
+        capsys.readouterr()
+        assert main(["solve", inst, "--algo", "bpiree"]) == 5
+        fields = capsys.readouterr().out.split()
+        assert fields[:2] == ["bpiree", "0"]
+        assert fields[3] == "nan" and fields[5] == "NumericalFailure"
 
     def test_overflowing_lipschitz_estimate_exits_five(self, tmp_path, capsys):
         inst = tmp_path / "inst.json"
@@ -778,6 +829,15 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("config error: solver 'bpiree': max_iter")
         assert not out.exists()
+
+    def test_blob_not_a_bool_exits_two_without_report(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = main(["compare", "--set", "example=log_ls", "--scale", "desk",
+                     "--set", "blob=yes", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: blob must be true or false, got 'yes'\n"
+        assert_config_error(captured, out)
 
     def test_subprocess_entry_point(self, tmp_path):
         # the cli module and the package both run as a process; exercised

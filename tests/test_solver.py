@@ -23,6 +23,7 @@ from bpiree.solver import (
     EPS_FLOOR,
     SolveStatus,
     SolverConfig,
+    Trace,
     bpiree_step,
     choose_block,
     descent_certificate,
@@ -587,6 +588,19 @@ class TestTraceMomentum:
         bound = extrapolation_bound(config.gamma, config.delta)
         assert np.all(betas <= bound)
         assert np.any(betas > 0.0)
+
+
+class TestTraceLast:
+    def test_trace_without_rows_is_nan(self):
+        assert math.isnan(Trace().last("F"))
+        assert math.isnan(Trace().last("step_rel"))
+
+    def test_last_row_of_a_traced_solve(self):
+        prob, _ = build_problem(desk_spec("log_ls", seed=0))
+        config = SolverConfig(record_trace=True, max_iter=5)
+        _, trace, _ = solve(prob, config, np.zeros(prob.loss.dim))
+        assert trace.last("F") == trace.columns["F"][-1]
+        assert trace.last("k") == trace.iterations == 5
 
 
 class TestStationarityResidual:
