@@ -334,12 +334,10 @@ def make_solver_config(spec: ExperimentSpec, entry: SolverEntry) -> SolverConfig
 
 
 def run_algorithm(algo: str, problem: Problem, config: SolverConfig, x0, callback=None):
-    """Uniform runner: returns ``(x, trace, status)`` for any algorithm name."""
-    result = ALGORITHMS[algo](problem, config, x0, callback=callback)
-    if algo == "bpiree-lp":
-        x, _eps, trace, status = result
-        return x, trace, status
-    return result
+    """Uniform runner: returns ``(x, trace, status)`` for any algorithm name;
+    each returns its iterate first and its trace and status last."""
+    x, *_, trace, status = ALGORITHMS[algo](problem, config, x0, callback=callback)
+    return x, trace, status
 
 
 @dataclass
@@ -354,6 +352,11 @@ class SolverResult:
     wall_time_s: float
 
 
+def _finite_or_none(value):
+    """``value``, or None (JSON ``null``) for a float that is not finite."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 @dataclass
 class ComparisonReport:
     """Per-solver outcomes on one shared instance plus convergence curves.
@@ -362,7 +365,9 @@ class ComparisonReport:
     ``curves[label]["x_rel"]`` is ``||x^k - x_ref|| / ||x_ref||``, both
     against the reference solver's final iterate.  Wall times live only in
     the object and the text table; the JSON form omits them so identical
-    seeds produce byte-identical files.
+    seeds produce byte-identical files.  The JSON form writes a number that
+    is not finite (a failed row's values, an iterate of 0's relative errors)
+    as ``null``; the text table prints ``nan`` and ``inf``.
     """
 
     spec: dict
@@ -373,18 +378,21 @@ class ComparisonReport:
     def to_json_dict(self) -> dict:
         rows = []
         for r in self.results:
-            d = dataclasses.asdict(r)
+            d = {k: _finite_or_none(v) for k, v in dataclasses.asdict(r).items()}
             d.pop("wall_time_s")
             rows.append(d)
+        curves = {label: {name: [_finite_or_none(v) for v in values]
+                          for name, values in curve.items()}
+                  for label, curve in self.curves.items()}
         return {
             "spec": self.spec,
             "reference": self.reference,
             "results": rows,
-            "curves": self.curves,
+            "curves": curves,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
+        return json.dumps(self.to_json_dict(), sort_keys=True, indent=1, allow_nan=False)
 
     def to_text(self) -> str:
         headers = (
@@ -431,41 +439,41 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
     """Run every configured solver on one shared instance from ``x0 = 0``.
 
     The first block-solver entry (or the first entry) is the reference; it
-    runs first, on its own, for the target ``x_ref`` and ``F_ref``.  Then
-    every row runs traced, tracking its distance to ``x_ref`` on the way,
-    and rows that run the same arithmetic share one run: the same algorithm
-    (pire-au where it runs pire-ps counts as pire-ps) with the same config
-    after harness defaults.  The reference's row is one of these runs, so
-    it runs twice in all.  A row's wall time is that of its run, curve
-    tracking included.  A row reads its values from its run's trace; a
-    run that raises has no iterate, an empty ``Trace()`` and status
-    ``NumericalFailure``, and does not abort the report.
+    runs first, on its own, for the target ``x_ref`` and ``F_ref``, as a
+    plain :func:`run_algorithm` call: whatever it raises propagates, and
+    there is no report.  Then every row runs traced, tracking its distance
+    to ``x_ref`` on the way, and rows that run the same arithmetic share
+    one run: the same algorithm (pire-au where it runs pire-ps counts as
+    pire-ps) with the same config after harness defaults.  The reference's
+    row is one of these runs, so it runs twice in all.  A row's wall time
+    is that of its run, curve tracking included.  A row reads its values
+    from its run's trace; a row's run that raises has no iterate, an empty
+    ``Trace()`` and status ``NumericalFailure``, and does not abort the
+    report.
     """
     problem, x_true = build_problem(spec)
     x0 = np.zeros(problem.loss.dim)
     entries = spec.solvers
     ref = next((e for e in entries if e.algo.startswith("bpiree")), entries[0])
 
-    def run(entry, config, x_rel=None):
-        # x_rel, when given, collects the distance to x_ref after each iteration
+    x_ref, ref_trace, _ = run_algorithm(ref.algo, problem, make_solver_config(spec, ref), x0)
+    F_ref = ref_trace.last("F")
+    ref_norm = float(np.linalg.norm(x_ref))
+
+    def run(entry, config):
+        x_rel = []  # the distance to x_ref after each iteration
+
         def track(k, xk):
             dist = _norm(xk - x_ref)
             x_rel.append(dist / ref_norm if ref_norm != 0.0 else math.inf)
 
         t0 = time.perf_counter()
         try:
-            x, trace, status = run_algorithm(
-                entry.algo, problem, config, x0, callback=None if x_rel is None else track)
+            x, trace, status = run_algorithm(entry.algo, problem, config, x0, callback=track)
         except Exception as exc:  # recorded per solver, never fatal
             logger.warning("solver %s failed: %s", entry.label, exc)
             x, trace, status, x_rel = None, Trace(), SolveStatus.NUMERICAL_FAILURE, []
         return x, trace, status, time.perf_counter() - t0, x_rel
-
-    x_ref, ref_trace = run(ref, make_solver_config(spec, ref))[:2]
-    if x_ref is None:
-        raise RuntimeError(f"reference solver {ref.label} produced no iterate")
-    F_ref = ref_trace.last("F")
-    ref_norm = float(np.linalg.norm(x_ref))
 
     runs = {}  # (algorithm run, config fields) -> (x, trace, status, wall, x_rel)
     results, curves = [], {}
@@ -473,7 +481,7 @@ def run_comparison(spec: ExperimentSpec) -> ComparisonReport:
         config = make_solver_config(spec, entry)
         key = (_runs_as(entry.algo, problem), dataclasses.astuple(config))
         if key not in runs:
-            runs[key] = run(entry, config, x_rel=[])
+            runs[key] = run(entry, config)
         x, trace, status, wall, x_rel = runs[key]
         f_gap = [abs(F - F_ref) for F in trace.columns["F"]]
         curves[entry.label] = {"f_gap": f_gap, "x_rel": list(x_rel)}

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bpiree import solver
+from bpiree import model, solver
 from bpiree.cli import main
 from bpiree.experiments import ALGORITHMS, build_problem, desk_spec
 from bpiree.io import load_problem, save_problem
@@ -788,6 +789,33 @@ class TestCompare:
         code, out = run_bad_spec("compare", tmp_path, example, sets)
         assert code == 2
         assert_config_error(capsys.readouterr(), out)
+
+    def test_non_finite_values_are_null(self, tmp_path):
+        # lam=1e3 leaves every iterate at 0, whose relative errors are inf
+        out = tmp_path / "r.json"
+        assert main(["compare", "--set", "example=log_ls", "--scale", "desk", "--seed", "0",
+                     "--set", "lam=1e3", "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"report holds {name}, which is not JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        for row in doc["results"]:
+            assert math.isfinite(row["F_final"])
+            assert row["rel_err_true"] is row["rel_err_ref"] is None
+        for curve in doc["curves"].values():
+            assert curve["x_rel"] == [None]
+
+    def test_non_finite_reference_lipschitz_exits_five(self, tmp_path, capsys, monkeypatch):
+        # the reference's failure ends the compare as it ends a solve
+        monkeypatch.setattr(model, "spectral_norm_sq", lambda M: math.inf)
+        out = tmp_path / "r.json"
+        assert main(["compare", "--config", write_config(tmp_path), "--out", str(out)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical failure: block Lipschitz estimate is not finite (inf)\n")
+        assert not out.exists()
 
     def test_later_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
         # only data the loss rejects while the instance is built exit 2

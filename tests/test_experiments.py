@@ -213,6 +213,37 @@ def report():
     return run_comparison(desk_spec("log_ls", seed=0))
 
 
+def reject_constant(name):
+    raise ValueError(f"report holds {name}, which is not JSON")
+
+
+class TestRunAlgorithm:
+    @pytest.fixture(scope="class")
+    def instance(self):
+        spec = desk_spec("matrix_lp", seed=0)
+        problem, _ = experiments.build_problem(spec)
+        return spec, problem
+
+    @pytest.mark.parametrize("algo", sorted(experiments.ALGORITHMS))
+    def test_reads_every_algorithm_one_way(self, instance, algo):
+        # every algorithm returns its iterate first and its trace and status
+        # last; bpiree-lp returns its final smoothing factors between them
+        spec, problem = instance
+        config = dataclasses.replace(
+            make_solver_config(spec, SolverEntry(algo)), max_iter=50)
+        x0 = np.zeros(problem.loss.dim)
+        direct = experiments.ALGORITHMS[algo](problem, config, x0)
+        assert len(direct) == (4 if algo == "bpiree-lp" else 3)
+        x, trace, status = run_algorithm(algo, problem, config, x0)
+
+        def columns(t):
+            return {k: repr(v) for k, v in t.columns.items() if k != "wall_ns"}
+
+        assert x.tobytes() == direct[0].tobytes()
+        assert columns(trace) == columns(direct[-2])
+        assert status is direct[-1]
+
+
 class TestRunComparison:
     def test_one_row_per_solver(self, report):
         assert [r.label for r in report.results] == ["bpiree", "irl1e1", "irl1"]
@@ -339,12 +370,28 @@ class TestComparisonPasses:
         assert len(report.curves["irl1e1"]["x_rel"]) > 0
 
     def test_failing_reference_raises(self, monkeypatch):
+        # the reference runs as a plain call: its own exception propagates
+        error = RuntimeError("no iterate")
+
+        def fails(problem, config, x0, callback=None):
+            raise error
+
+        monkeypatch.setitem(experiments.ALGORITHMS, "bpiree", fails)
+        with pytest.raises(RuntimeError) as info:
+            run_comparison(desk_spec(**self.SPEC))
+        assert info.value is error
+
+    def test_failing_row_writes_null(self, monkeypatch):
         def fails(problem, config, x0, callback=None):
             raise RuntimeError("no iterate")
 
-        monkeypatch.setitem(experiments.ALGORITHMS, "bpiree", fails)
-        with pytest.raises(RuntimeError, match="reference solver bpiree"):
-            run_comparison(desk_spec(**self.SPEC))
+        monkeypatch.setitem(experiments.ALGORITHMS, "irl1", fails)
+        text = run_comparison(desk_spec(**self.SPEC)).to_json()
+        doc = json.loads(text, parse_constant=reject_constant)
+        row = next(r for r in doc["results"] if r["label"] == "irl1")
+        assert row["F_final"] is row["rel_err_true"] is row["rel_err_ref"] is None
+        assert row["status"] == "NumericalFailure"
+        assert doc["curves"]["irl1"] == {"f_gap": [], "x_rel": []}
 
     def test_uncoupled_pire_au_and_pire_ps_share_one_run(self, monkeypatch):
         # desk matrix_lp's blocks are whole columns, so pire-au runs pire-ps
