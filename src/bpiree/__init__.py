@@ -13,11 +13,9 @@ from .model import (
     LeastSquares,
     LogPenalty,
     MatrixLeastSquares,
-    PartitionReport,
     Problem,
     SmoothedLp,
     eval_objective,
-    validate_partition,
 )
 from .prox import (
     NumericalFailure,
@@ -70,11 +68,9 @@ __all__ = [
     "LeastSquares",
     "LogPenalty",
     "MatrixLeastSquares",
-    "PartitionReport",
     "Problem",
     "SmoothedLp",
     "eval_objective",
-    "validate_partition",
     "NumericalFailure",
     "block_prox_step",
     "prox_scalar_convex",

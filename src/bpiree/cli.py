@@ -152,7 +152,7 @@ def cmd_solve(args) -> int:
         raise ConfigError(f"unknown algorithm {algo!r}; choose from {sorted(ALGORITHMS)}")
     try:
         problem, _x_true = load_problem(args.instance)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise MalformedInstance(str(exc)) from exc
     # the top-level seed and mu are defaults the solver section overrides
     defaults = {k: config[k] for k in ("seed", "mu") if k in config}

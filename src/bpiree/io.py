@@ -13,8 +13,9 @@ key is rejected.  All index arrays are 0-based.
 A trace CSV has one column per entry of ``Trace.columns``, in order:
 ``k,F,step_rel,residual,beta,block,retried,wall_ns`` (plus
 ``eps_min,eps_max,support_size,sign_fixed`` for smoothed-lp block runs and
-a final ``algo`` column in merged exports); floats are written in shortest
-round-trip decimal form, booleans as 0/1 and integers as decimals.
+a final ``algo`` column, which ``solve`` always writes); floats are written
+in shortest round-trip decimal form, booleans as 0/1 and integers as
+decimals.
 
 Every file is written to a new ``.tmp-<random>`` file beside it, created
 0o666 less the umask (which no write changes), then renamed into place; a
@@ -180,12 +181,18 @@ def _floats(value, name: str) -> np.ndarray:
     raise ValueError(f"{name} must be an array of numbers")
 
 
+def _required(doc: dict, key: str):
+    if key not in doc:
+        raise ValueError(f"field {key!r} is required")
+    return doc[key]
+
+
 def load_problem(path: str):
     """Read a problem instance; returns ``(Problem, x_true_or_None)``.  A
     malformed one (a missing, unknown or ill-typed field, an ``A`` blob of
     other than ``A_shape``'s size, a ``b`` that does not split into ``t``
-    columns, an ``x_true`` of other than the variable's length) raises
-    ``KeyError`` or ``ValueError`` naming the field."""
+    columns, an ``x_true`` of other than the variable's length, blocks that
+    do not partition the coordinates) raises ``ValueError`` naming the field."""
     with open(path) as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
@@ -193,9 +200,9 @@ def load_problem(path: str):
     unknown = sorted(set(doc) - {"A", "A_shape", "b", "t", "blocks", "penalty", "x_true"})
     if unknown:
         raise ValueError(f"unknown field {unknown[0]!r}")
-    A = doc["A"]
+    A = _required(doc, "A")
     if isinstance(A, str):
-        shape = doc["A_shape"]
+        shape = _required(doc, "A_shape")
         if not (isinstance(shape, list) and len(shape) == 2
                 and all(type(d) is int and d >= 0 for d in shape)):
             raise ValueError(f"A_shape must be two nonnegative integers, got {shape!r}")
@@ -206,8 +213,8 @@ def load_problem(path: str):
         A = blob.reshape(shape)
     else:
         A = _floats(A, "A")
-    b = _floats(doc["b"], "b")
-    t, blocks = doc.get("t", 1), doc["blocks"]
+    b = _floats(_required(doc, "b"), "b")
+    t, blocks = doc.get("t", 1), _required(doc, "blocks")
     if type(t) is not int or t < 1:  # a bool is no column count
         raise ValueError(f"t must be a positive integer, got {t!r}")
     if b.size % t:
@@ -215,7 +222,7 @@ def load_problem(path: str):
     if not isinstance(blocks, list) or not all(
             isinstance(blk, list) and all(type(i) is int for i in blk) for blk in blocks):
         raise ValueError("blocks must be lists of integer indices")
-    penalty = penalty_from_dict(doc["penalty"])
+    penalty = penalty_from_dict(_required(doc, "penalty"))
     loss = MatrixLeastSquares(A, b.reshape(-1, t, order="F")) if t > 1 else LeastSquares(A, b)
     problem = Problem(loss, penalty, BlockPartition(blocks=tuple(blocks), n=loss.dim))
     x_true = doc.get("x_true")

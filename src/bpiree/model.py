@@ -34,8 +34,6 @@ from .prox import NumericalFailure
 
 __all__ = [
     "BlockPartition",
-    "PartitionReport",
-    "validate_partition",
     "LeastSquares",
     "MatrixLeastSquares",
     "LogPenalty",
@@ -78,6 +76,12 @@ def _block_indices(block) -> np.ndarray:
 class BlockPartition:
     """Ordered disjoint index blocks covering ``{0, ..., n-1}``.
 
+    The constructor checks this and raises ``ValueError("invalid
+    partition: ...")`` naming the first offence met walking the blocks in
+    order: no blocks, an empty block, an index outside the range or a
+    repeated index, and last an uncovered index.  So every partition that
+    exists is valid.
+
     Parameters
     ----------
     blocks : tuple of int arrays
@@ -90,7 +94,30 @@ class BlockPartition:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(map(_block_indices, self.blocks)))
+        blocks = tuple(map(_block_indices, self.blocks))
+        object.__setattr__(self, "blocks", blocks)
+        n = self.n
+        if not blocks:
+            raise ValueError("invalid partition: partition has no blocks")
+        flat = np.concatenate(blocks)
+        # a stable sort keeps equal indices in block order: all but the first repeat
+        order = np.argsort(flat, kind="stable")
+        repeated = np.zeros(flat.size, dtype=bool)
+        repeated[order[1:]] = flat[order[1:]] == flat[order[:-1]]
+        offenders = np.flatnonzero((flat < 0) | (flat >= n) | repeated)
+        first = offenders[0] if offenders.size else flat.size
+        # an empty block is met before every index of the blocks after it
+        sizes = np.array([block.size for block in blocks])
+        empty = np.flatnonzero((sizes == 0) & (np.cumsum(sizes) <= first))
+        if empty.size:
+            raise ValueError(f"invalid partition: block {empty[0]} is empty")
+        if offenders.size:
+            # the first copy of an out-of-range index is an offender itself
+            what = "duplicated" if repeated[first] else f"outside range 0..{n - 1}"
+            raise ValueError(f"invalid partition: index {flat[first]} {what}")
+        if flat.size < n:  # the indices are in range and distinct
+            j = np.flatnonzero(np.bincount(flat, minlength=n) == 0)[0]
+            raise ValueError(f"invalid partition: index {j} uncovered")
 
     @property
     def m(self) -> int:
@@ -112,50 +139,6 @@ class BlockPartition:
         bounds = np.linspace(0, n, m + 1).round().astype(np.intp)
         blocks = tuple(np.arange(bounds[i], bounds[i + 1]) for i in range(m))
         return BlockPartition(blocks=blocks, n=n)
-
-
-@dataclass(frozen=True)
-class PartitionReport:
-    """Outcome of :func:`validate_partition`; ``index`` is the first offender."""
-
-    ok: bool
-    message: Optional[str] = None
-    index: Optional[int] = None
-
-
-def validate_partition(partition: BlockPartition) -> PartitionReport:
-    """Check disjointness and exact coverage of a block partition.
-
-    Returns an ``ok`` report when the blocks are nonempty, pairwise
-    disjoint and their union is ``{0, ..., n-1}``; otherwise the report
-    names the first offence met walking the blocks in order: an empty
-    block, an index outside the range or a repeated index, and last an
-    uncovered index.
-    """
-    n = partition.n
-    if partition.m < 1:
-        return PartitionReport(False, "partition has no blocks", None)
-    flat = np.concatenate(partition.blocks)
-    # a stable sort keeps equal indices in block order: all but the first repeat
-    order = np.argsort(flat, kind="stable")
-    repeated = np.zeros(flat.size, dtype=bool)
-    repeated[order[1:]] = flat[order[1:]] == flat[order[:-1]]
-    offenders = np.flatnonzero((flat < 0) | (flat >= n) | repeated)
-    first = offenders[0] if offenders.size else flat.size
-    # an empty block is met before every index of the blocks after it
-    sizes = np.array([block.size for block in partition.blocks])
-    empty = np.flatnonzero((sizes == 0) & (np.cumsum(sizes) <= first))
-    if empty.size:
-        return PartitionReport(False, f"block {empty[0]} is empty", None)
-    if offenders.size:
-        # the first copy of an out-of-range index is an offender itself
-        j = int(flat[first])
-        what = "duplicated" if repeated[first] else f"outside range 0..{n - 1}"
-        return PartitionReport(False, f"index {j} {what}", j)
-    if flat.size < n:  # the indices are in range and distinct
-        j = int(np.flatnonzero(np.bincount(flat, minlength=n) == 0)[0])
-        return PartitionReport(False, f"index {j} uncovered", j)
-    return PartitionReport(True)
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +574,13 @@ class CustomPenalty:
 class Problem:
     """Immutable bundle of loss, penalty and block partition.
 
-    Safe to share across concurrent solver runs; all solver operations
-    treat it as read-only.  The problem keeps only the blocks' Lipschitz
-    bounds (:attr:`lipschitz`, estimated on first use), and is their only
-    home.  Each solve builds its own block operators with
-    :meth:`block_plans`, which carry no bound, and frees them when it
-    returns, so a problem never pins copies of ``A``'s columns.
+    The partition is valid once built; the problem checks only that it
+    covers the loss's ``dim`` coordinates.  Safe to share across concurrent
+    solver runs; all solver operations treat it as read-only.  The problem
+    keeps only the blocks' Lipschitz bounds (:attr:`lipschitz`, estimated
+    on first use), and is their only home.  Each solve builds its own block
+    operators with :meth:`block_plans`, which carry no bound, and frees them
+    when it returns, so a problem never pins copies of ``A``'s columns.
     """
 
     loss: object
@@ -604,9 +588,6 @@ class Problem:
     partition: BlockPartition
 
     def __post_init__(self):
-        report = validate_partition(self.partition)
-        if not report.ok:
-            raise ValueError(f"invalid partition: {report.message}")
         if self.partition.n != self.loss.dim:
             raise ValueError(
                 f"partition covers {self.partition.n} coordinates but the "
@@ -635,8 +616,8 @@ class Problem:
         return tuple(int(touching[c].max()) for c in cols)
 
     def block_plans(self) -> tuple:
-        """Fresh block plans (operators, without bounds), from the partition
-        :meth:`__post_init__` validated; the caller owns them."""
+        """Fresh block plans (operators, without bounds), one per block of
+        the partition; the caller owns them."""
         return tuple(map(self.loss._plan, self.partition.blocks))
 
 

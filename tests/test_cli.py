@@ -119,6 +119,23 @@ class TestGenerate:
         doc = json.loads(open(out).read())
         assert len(doc["b"]) == 100  # desk preset n
 
+    def test_regenerating_a_blob_instance_replaces_the_pair(self, tmp_path):
+        # the second write sets the old blob aside and deletes it once the
+        # new pair is in place: no temporary file is left beside them
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        inst = str(out / "inst.json")
+        for seed in ("0", "1"):
+            argv = ["generate", "--config", cfg, "--set", "blob=true", "--seed", seed,
+                    "--out", inst]
+            assert main(argv) == 0
+        assert sorted(os.listdir(out)) == ["inst.json", "inst.json.A.bin"]
+        assert main(["generate", "--config", cfg, "--seed", "1",
+                     "--out", str(tmp_path / "seed1.json")]) == 0
+        expected, _ = load_problem(str(tmp_path / "seed1.json"))
+        np.testing.assert_array_equal(load_problem(inst)[0].loss.A, expected.loss.A)
+
     @pytest.mark.parametrize("example", ["log_ls", "matrix_lp"])
     @pytest.mark.parametrize("seed", [0, 13])
     def test_scale_desk_builds_the_desk_spec_instance(self, tmp_path, example, seed):
@@ -651,10 +668,23 @@ class TestMalformedInstance:
         (lambda doc: {**doc, "x_true": doc["x_true"][:1]},
          "x_true must have length 40, got shape (1,)"),
         (lambda doc: {**doc, "t": 3}, "b has 20 entries, which do not split into t=3 columns"),
+        # a missing required field is named
+        *((lambda doc, key=key: {k: v for k, v in doc.items() if k != key},
+           f"field {key!r} is required") for key in ("A", "b", "blocks", "penalty")),
+        (lambda doc: {**doc, "A": "foo.bin"}, "field 'A_shape' is required"),
+        # blocks that do not partition the 40 coordinates
+        (lambda doc: {**doc, "blocks": [[0], *doc["blocks"]]},
+         "invalid partition: index 0 duplicated"),
+        (lambda doc: {**doc, "blocks": [[], *doc["blocks"]]},
+         "invalid partition: block 0 is empty"),
+        (lambda doc: {**doc, "blocks": [*doc["blocks"][:-1], doc["blocks"][-1][:-1]]},
+         "invalid partition: index 39 uncovered"),
     ], ids=["penalty-not-object", "document-list", "A-object", "A-bool", "b-bool",
             "x_true-bool", "b-int-overflow", "b-loss-overflow", "A_shape-not-list",
             "extra-penalty-key", "eps_bar-overflows", "misspelled-x_true", "x_true-short",
-            "x_true-one-entry", "b-not-t-columns"])
+            "x_true-one-entry", "b-not-t-columns", "missing-A", "missing-b", "missing-blocks",
+            "missing-penalty", "missing-A_shape", "duplicated-index", "empty-block",
+            "uncovered-index"])
     def test_exits_two_without_trace(self, tmp_path, capsys, edit, message):
         inst = tmp_path / "inst.json"
         assert main(["generate", "--config", write_config(tmp_path), "--out", str(inst)]) == 0

@@ -20,7 +20,6 @@ from bpiree.experiments import (
     run_algorithm,
     run_comparison,
 )
-from bpiree.model import validate_partition
 
 
 class TestGaussianSensing:
@@ -78,7 +77,7 @@ class TestMatrixProblem:
         _, _, _, partition = gen_matrix_problem(spec)
         assert partition.m == 10
         assert all(b.size == 50 for b in partition.blocks)
-        assert validate_partition(partition).ok
+        assert sorted(np.concatenate(partition.blocks).tolist()) == list(range(50 * 10))
 
     def test_uneven_split_validates(self):
         spec = ExperimentSpec(example="matrix_lp", n=10, q=7, t=3, m=4, seed=0)
@@ -86,7 +85,7 @@ class TestMatrixProblem:
         sizes = [b.size for b in partition.blocks]
         assert sum(sizes) == 21
         assert max(sizes) - min(sizes) <= 1
-        assert validate_partition(partition).ok
+        assert sorted(np.concatenate(partition.blocks).tolist()) == list(range(7 * 3))
 
 
 class TestRelErr:
@@ -114,6 +113,10 @@ class TestSpecValidation:
     def test_unknown_algo(self):
         with pytest.raises(ValueError):
             SolverEntry(algo="bogus")
+
+    def test_unknown_conditioning(self):
+        with pytest.raises(ValueError, match="^unknown conditioning 'bogus'$"):
+            ExperimentSpec(example="log_ls", n=10, q=20, conditioning="bogus")
 
     def test_default_solvers_filled(self):
         spec = desk_spec("log_ls")

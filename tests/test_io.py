@@ -12,12 +12,21 @@ from bpiree.experiments import build_problem, desk_spec, run_algorithm
 from bpiree.io import (
     atomic_write_text,
     load_problem,
+    penalty_from_dict,
+    penalty_to_dict,
     save_problem,
     trace_csv_text,
     write_trace_csv,
 )
 from bpiree.lp import solve_lp
-from bpiree.model import LeastSquares, MatrixLeastSquares
+from bpiree.model import (
+    BlockPartition,
+    CustomPenalty,
+    LeastSquares,
+    LogPenalty,
+    MatrixLeastSquares,
+    Problem,
+)
 from bpiree.solver import SolverConfig, Trace, solve
 
 
@@ -66,6 +75,29 @@ class TestProblemRoundTrip:
         assert {"A", "b", "blocks", "penalty"} <= set(doc)
         assert doc["penalty"]["type"] == "log"
         assert doc["penalty"]["lam"] == prob.penalty.lam
+
+
+class TestNoJsonForm:
+    """Only the losses and penalties an instance file can name are written."""
+
+    def test_custom_penalty(self):
+        penalty = CustomPenalty(lam=1.0, h=abs, h_prime=lambda t: 1.0)
+        with pytest.raises(ValueError, match="^penalty CustomPenalty has no JSON form$"):
+            penalty_to_dict(penalty)
+
+    def test_unknown_penalty_type(self):
+        with pytest.raises(ValueError, match="^unknown penalty type 'bogus'$"):
+            penalty_from_dict({"type": "bogus", "lam": 1.0})
+
+    def test_other_loss_writes_nothing(self, tmp_path):
+        class Quadratic:
+            dim = 3
+
+        problem = Problem(Quadratic(), LogPenalty(lam=1.0, eps_bar=1.0),
+                          BlockPartition.contiguous(3, 1))
+        with pytest.raises(ValueError, match="^loss Quadratic has no JSON form$"):
+            save_problem(str(tmp_path / "inst.json"), problem)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTraceCsv:

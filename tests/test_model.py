@@ -19,37 +19,29 @@ from bpiree.model import (
     Problem,
     SmoothedLp,
     eval_objective,
-    validate_partition,
 )
 from bpiree.prox import NumericalFailure
 from bpiree.solver import SolverConfig, init_state, solve, stationarity_residual
 
 
 class TestValidatePartition:
+    """``BlockPartition`` checks itself when it is built, so no invalid one exists."""
+
     def test_exact_cover_ok(self):
         part = BlockPartition(blocks=([0, 1], [2]), n=3)
-        assert validate_partition(part).ok
+        assert [b.tolist() for b in part.blocks] == [[0, 1], [2]]
 
     def test_duplicate_index_reported(self):
-        part = BlockPartition(blocks=([0], [0, 1]), n=2)
-        report = validate_partition(part)
-        assert not report.ok
-        assert report.index == 0
-        assert "duplicated" in report.message
+        with pytest.raises(ValueError, match="^invalid partition: index 0 duplicated$"):
+            BlockPartition(blocks=([0], [0, 1]), n=2)
 
     def test_gap_reported(self):
-        part = BlockPartition(blocks=([0],), n=2)
-        report = validate_partition(part)
-        assert not report.ok
-        assert report.index == 1
-        assert "uncovered" in report.message
+        with pytest.raises(ValueError, match="^invalid partition: index 1 uncovered$"):
+            BlockPartition(blocks=([0],), n=2)
 
     def test_empty_block_rejected(self):
-        part = BlockPartition(blocks=(np.array([], dtype=int), [0]), n=1)
-        report = validate_partition(part)
-        assert not report.ok
-        assert report.message == "block 0 is empty"
-        assert report.index is None
+        with pytest.raises(ValueError, match="^invalid partition: block 0 is empty$"):
+            BlockPartition(blocks=([], [0]), n=1)
 
     @pytest.mark.parametrize("blocks,message", [
         (([0.5, 1.2], [2.9]), "block indices must be integers, got float64"),
@@ -61,34 +53,31 @@ class TestValidatePartition:
 
     @pytest.mark.parametrize("bad", [5, -1])
     def test_outside_range_reported(self, bad):
-        part = BlockPartition(blocks=([0, bad], [1]), n=2)
-        report = validate_partition(part)
-        assert not report.ok
-        assert report.message == f"index {bad} outside range 0..1"
-        assert report.index == bad
+        message = f"^invalid partition: index {bad} outside range 0..1$"
+        with pytest.raises(ValueError, match=message):
+            BlockPartition(blocks=([0, bad], [1]), n=2)
 
     def test_no_blocks(self):
-        report = validate_partition(BlockPartition(blocks=(), n=3))
-        assert report == model.PartitionReport(False, "partition has no blocks", None)
+        with pytest.raises(ValueError, match="^invalid partition: partition has no blocks$"):
+            BlockPartition(blocks=(), n=3)
 
     @pytest.mark.parametrize(
-        "blocks,message,index",
+        "blocks,message",
         [
             # the out-of-range index in block 0 comes before the empty block 1
-            (([0, 7], []), "index 7 outside range 0..1", 7),
-            (([], [0, 7]), "block 0 is empty", None),
-            (([0, 1], [0, 7]), "index 0 duplicated", 0),
-            (([0, 7], [0]), "index 7 outside range 0..1", 7),
-            (([1, 1], [0]), "index 1 duplicated", 1),
-            (([1, 0], [1], []), "index 1 duplicated", 1),
-            (([0], []), "block 1 is empty", None),
-            (([7, 7], [0]), "index 7 outside range 0..1", 7),
+            (([0, 7], []), "index 7 outside range 0..1"),
+            (([], [0, 7]), "block 0 is empty"),
+            (([0, 1], [0, 7]), "index 0 duplicated"),
+            (([0, 7], [0]), "index 7 outside range 0..1"),
+            (([1, 1], [0]), "index 1 duplicated"),
+            (([1, 0], [1], []), "index 1 duplicated"),
+            (([0], []), "block 1 is empty"),
+            (([7, 7], [0]), "index 7 outside range 0..1"),
         ],
     )
-    def test_first_offender_in_block_order(self, blocks, message, index):
+    def test_first_offender_in_block_order(self, blocks, message):
         blocks = tuple(np.array(b, dtype=int) for b in blocks)
-        report = validate_partition(BlockPartition(blocks=blocks, n=2))
-        assert (report.ok, report.message, report.index) == (False, message, index)
+        assert _constructor_problem(blocks, 2) == message
 
     def test_matches_a_loop_over_every_index(self):
         # seeded random partitions, broken in every way the check reports
@@ -103,37 +92,50 @@ class TestValidatePartition:
                 perm = rng.permutation(n)
                 cuts = np.sort(rng.choice(np.arange(1, n + 1), size=m - 1))
                 blocks = tuple(np.split(perm, cuts))
-            part = BlockPartition(blocks=blocks, n=n)
-            assert validate_partition(part) == _loop_validate(part), blocks
+            assert _constructor_problem(blocks, n) == _loop_validate(blocks, n), blocks
 
     def test_contiguous_sizes_differ_by_at_most_one(self):
         part = BlockPartition.contiguous(10, 3)
         sizes = [b.size for b in part.blocks]
         assert sum(sizes) == 10
         assert max(sizes) - min(sizes) <= 1
-        assert validate_partition(part).ok
+
+    @pytest.mark.parametrize("m", [0, 5])
+    def test_contiguous_needs_m_between_one_and_n(self, m):
+        with pytest.raises(ValueError, match=f"^need 1 <= m <= n, got m={m}, n=3$"):
+            BlockPartition.contiguous(3, m)
 
 
-def _loop_validate(partition):
-    """The partition check written as a loop over every index, block by block."""
-    n = partition.n
-    if partition.m < 1:
-        return model.PartitionReport(False, "partition has no blocks", None)
+def _constructor_problem(blocks, n):
+    """The problem ``BlockPartition`` reports for ``blocks``, or None when it builds."""
+    try:
+        BlockPartition(blocks=blocks, n=n)
+    except ValueError as exc:
+        prefix = "invalid partition: "
+        assert str(exc).startswith(prefix)
+        return str(exc)[len(prefix):]
+    return None
+
+
+def _loop_validate(blocks, n):
+    """The partition check written as a loop over every index, block by block:
+    the first problem's message, or None."""
+    if len(blocks) < 1:
+        return "partition has no blocks"
     seen = np.zeros(n, dtype=bool)
-    for bi, block in enumerate(partition.blocks):
-        if block.size == 0:
-            return model.PartitionReport(False, f"block {bi} is empty", None)
+    for bi, block in enumerate(blocks):
+        if len(block) == 0:
+            return f"block {bi} is empty"
         for j in block:
             j = int(j)
             if j < 0 or j >= n:
-                return model.PartitionReport(False, f"index {j} outside range 0..{n - 1}", j)
+                return f"index {j} outside range 0..{n - 1}"
             if seen[j]:
-                return model.PartitionReport(False, f"index {j} duplicated", j)
+                return f"index {j} duplicated"
             seen[j] = True
     if not seen.all():
-        j = int(np.flatnonzero(~seen)[0])
-        return model.PartitionReport(False, f"index {j} uncovered", j)
-    return model.PartitionReport(True)
+        return f"index {int(np.flatnonzero(~seen)[0])} uncovered"
+    return None
 
 
 class TestEvalObjective:
@@ -329,6 +331,12 @@ class TestPowerIterationCap:
         assert caplog.records == []
 
 
+class TestEmptyOperator:
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_spectral_norm_sq_is_zero(self, shape):
+        assert model.spectral_norm_sq(np.zeros(shape)) == 0.0
+
+
 class TestBlockPlanChecks:
     """The public ``block_plan`` and ``block_grad`` check their block
     (``Problem`` builds its plans from the partition it validated,
@@ -427,6 +435,14 @@ class TestPenalties:
         x = np.array([-1.0, 0.0, 2.5])
         assert custom.value(x) == pytest.approx(log_pen.value(x), rel=1e-12)
         np.testing.assert_allclose(custom.weights(x), log_pen.weights(x))
+
+    @pytest.mark.parametrize("make", [
+        lambda: LogPenalty(lam=-1.0, eps_bar=0.1),
+        lambda: CustomPenalty(lam=-1.0, h=abs, h_prime=lambda t: 1.0),
+    ], ids=["log", "custom"])
+    def test_negative_lam_rejected(self, make):
+        with pytest.raises(ValueError, match="^lam must be finite and nonnegative$"):
+            make()
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -550,6 +566,20 @@ class TestNonFiniteData:
         make(1e154)
         with pytest.raises(ValueError, match="too large: 0.5"):
             make(1e155)
+
+
+class TestLossShapes:
+    @pytest.mark.parametrize("make,message", [
+        (lambda: LeastSquares(np.ones(3), np.ones(3)), "A must be a 2-d matrix"),
+        (lambda: MatrixLeastSquares(np.ones((3, 2, 1)), np.ones((3, 2))),
+         "A must be a 2-d matrix"),
+        (lambda: LeastSquares(np.eye(3), np.ones(4)), "b has 4 rows but A has 3"),
+        (lambda: MatrixLeastSquares(np.eye(3), np.ones((4, 2))), "B has 4 rows but A has 3"),
+        (lambda: MatrixLeastSquares(np.eye(3), np.ones(3)), "B must be a 2-d matrix"),
+    ], ids=["vector-A-1d", "matrix-A-3d", "vector-b-rows", "matrix-B-rows", "matrix-B-1d"])
+    def test_names_the_operand(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
 
 
 class TestBlockIndex:

@@ -17,7 +17,7 @@ from bpiree.model import (
     SmoothedLp,
 )
 from bpiree import baselines, solver
-from bpiree.experiments import build_problem, desk_spec
+from bpiree.experiments import ALGORITHMS, build_problem, desk_spec
 from bpiree.prox import NumericalFailure
 from bpiree.solver import (
     EPS_FLOOR,
@@ -86,6 +86,11 @@ class TestChooseBlock:
             choose_block("cyclic", 0, 3)
         with pytest.raises(ValueError):
             choose_block("nope", 1, 3)
+
+    @pytest.mark.parametrize("schedule", ["cyclic", "shuffled"])
+    def test_rejects_no_blocks(self, schedule):
+        with pytest.raises(ValueError, match="^need at least one block$"):
+            choose_block(schedule, 1, 0)
 
 
 class TestExtrapolationBound:
@@ -662,6 +667,21 @@ class TestDescentCertificate:
         assert cert.slack == pytest.approx(expected)
 
 
+class TestStartPoint:
+    """Every algorithm checks its ``x0`` before its first step."""
+
+    @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("edit,message", [
+        (lambda x0: x0[:-1], "^x0 has length 11, expected 12$"),
+        (lambda x0: np.r_[x0[:-1], math.nan], "^x0 must be finite$"),
+        (lambda x0: np.r_[x0[:-1], math.inf], "^x0 must be finite$"),
+    ], ids=["short", "nan", "inf"])
+    def test_bad_x0_rejected(self, algo, edit, message):
+        problem, _ = build_problem(desk_spec("matrix_lp", seed=0, n=6, q=4, t=3, m=3))
+        with pytest.raises(ValueError, match=message):
+            ALGORITHMS[algo](problem, SolverConfig(max_iter=5), edit(np.zeros(12)))
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -705,6 +725,10 @@ class TestConfigValidation:
     def test_wrong_type_names_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             SolverConfig(**{field: value}).validate()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+            SolverConfig(seed=-1).validate()
 
     def test_ints_accepted_for_real_fields(self):
         SolverConfig(gamma=3, delta=0.5, tol=1, mu=0.5, eps0=2,
